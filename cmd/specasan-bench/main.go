@@ -9,9 +9,8 @@
 //	-perf    measure the simulator itself and write BENCH_sim.json
 //
 // Sweeps run their cells on a bounded worker pool (-workers, default
-// GOMAXPROCS); output is byte-identical to -workers=1. Within one machine,
-// -parallel-cores steps simulated cores on their own goroutines (also
-// byte-identical to serial). The -perf sweep legs take their pool size from
+// GOMAXPROCS); output is byte-identical to -workers=1. The -perf sweep legs
+// take their pool size from
 // -sweep-workers, recorded in the report. -cpuprofile and -memprofile
 // capture stdlib pprof profiles of the run.
 package main
@@ -51,8 +50,6 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	sweepWorkers := flag.Int("sweep-workers", 0,
 		"worker pool size for the -perf sweep legs (0 = GOMAXPROCS); the resolved value is recorded in the report")
-	parallelCores := flag.Int("parallel-cores", 0,
-		"intra-machine core stepping: 0 = auto (goroutine per simulated core when GOMAXPROCS > 1), 1 = force serial, >= 2 = force parallel; results are bit-identical either way")
 	traceCell := flag.String("trace", "", "record a Chrome trace of one sweep cell, named benchmark/mitigation (e.g. 505.mcf_r/SpecASan)")
 	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace-event JSON")
 	metricsOut := flag.String("metrics-out", "", "write per-cell metrics records (JSONL, cell order) to this file")
@@ -94,7 +91,6 @@ func main() {
 	opt.Verbose = *verbose
 	opt.Log = os.Stderr
 	opt.Workers = *workers
-	opt.ParallelCores = *parallelCores
 	opt.NoSkipIdle = !*skipIdle
 	opt.FastForwardInsts = *fastForward
 	opt.SampleWindows = *sampleWindows
@@ -240,7 +236,7 @@ func main() {
 
 // runScenario runs the sweep a scenario describes and renders it as a
 // normalized-execution-time table. Explicitly-typed -scale/-workers/
-// -parallel-cores/-skip-idle/-fast-forward/-sample-windows/
+// -skip-idle/-fast-forward/-sample-windows/
 // -sample-window-insts/-warmup-cycles/-trace-record/-trace-replay flags
 // override the scenario's run options; everything else
 // (machine, mitigation columns, workload rows) comes from the scenario. The
@@ -255,9 +251,6 @@ func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
 	}
 	if explicit["workers"] {
 		s.Run.Workers = opt.Workers
-	}
-	if explicit["parallel-cores"] {
-		s.Run.ParallelCores = opt.ParallelCores
 	}
 	if explicit["skip-idle"] {
 		s.Run.SkipIdle = !opt.NoSkipIdle
@@ -336,10 +329,6 @@ func runPerf(path, note string, opt harness.Options) {
 		rep.SampledSweep.Windows, rep.SampledSweep.WindowInsts,
 		rep.SampledSweep.SampledWallSeconds, rep.SampledSweep.FullWallSeconds,
 		rep.SampledSweep.Speedup, rep.SampledSweep.MaxIPCDeltaPct)
-	fmt.Printf("multicore:   %s on %d cores: %.2fs parallel vs %.2fs serial (%.2fx at GOMAXPROCS=%d)\n",
-		rep.Multicore.Workload, rep.Multicore.Cores,
-		rep.Multicore.ParallelWallSeconds, rep.Multicore.SerialWallSeconds,
-		rep.Multicore.Speedup, rep.Multicore.GoMaxProcs)
 	fmt.Printf("replay:      %.1f ns/inst from trace vs %.1f live decode (%.2fx, %s)\n",
 		rep.Replay.ReplayNsPerInst, rep.Replay.DecodeNsPerInst,
 		rep.Replay.Overhead, rep.Replay.Workload)

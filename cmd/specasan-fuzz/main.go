@@ -46,8 +46,6 @@ func main() {
 	n := flag.Int("n", 64, "candidate count (0 = unbounded, requires -budget)")
 	budget := flag.Duration("budget", 0, "wall-clock bound; with -n 0, whole batches run until it expires")
 	workers := flag.Int("workers", 0, "evaluation pool size (0 = GOMAXPROCS, 1 = serial)")
-	parallelCores := flag.Int("parallel-cores", 0,
-		"intra-machine core stepping on evaluation machines (0 = auto, 1 = serial, >= 2 = goroutine per core); corpus bytes are identical either way")
 	out := flag.String("out", "results", "output root: PoCs under <out>/pocs, divergences under <out>/differential")
 	mitsFlag := flag.String("mits", "", "comma-separated mitigation columns (default: every registered policy)")
 	storeDir := flag.String("store", "", "result-store directory: cached candidate evaluations make reruns and resumes cheap")
@@ -88,9 +86,6 @@ func main() {
 	if overrides("workers") {
 		s.Run.Workers = *workers
 	}
-	if overrides("parallel-cores") {
-		s.Run.ParallelCores = *parallelCores
-	}
 	if overrides("mits") && *mitsFlag != "" {
 		s.Mitigations = splitList(*mitsFlag)
 	}
@@ -110,14 +105,13 @@ func main() {
 	} // else nil: Run defaults to the full registry
 
 	opts := fuzzer.Options{
-		Seed:          s.Fuzz.Seed,
-		N:             s.Fuzz.Candidates,
-		Budget:        time.Duration(s.Fuzz.BudgetSeconds) * time.Second,
-		Workers:       s.Run.Workers,
-		ParallelCores: s.Run.ParallelCores,
-		OutDir:        *out,
-		Mitigations:   mits,
-		SkipMinimise:  *noMinimise,
+		Seed:         s.Fuzz.Seed,
+		N:            s.Fuzz.Candidates,
+		Budget:       time.Duration(s.Fuzz.BudgetSeconds) * time.Second,
+		Workers:      s.Run.Workers,
+		OutDir:       *out,
+		Mitigations:  mits,
+		SkipMinimise: *noMinimise,
 	}
 	if *verbose {
 		opts.Log = os.Stderr

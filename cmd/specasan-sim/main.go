@@ -52,8 +52,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	skipIdle := flag.Bool("skip-idle", true, "event-driven idle-cycle skipping (exactness-preserving; off walks every cycle)")
-	parallelCores := flag.Int("parallel-cores", 0,
-		"intra-machine stepping: 0 = auto (one goroutine per simulated core on multi-core machines when GOMAXPROCS > 1), 1 = serial core walk, >= 2 = force parallel; bit-identical results either way")
 	fastForward := flag.Uint64("fast-forward", 0,
 		"fast-forward this many instructions functionally before detailed simulation (0 = fully detailed; committed counts and output stay exact, cycles become an estimate)")
 	sampleWindows := flag.Int("sample-windows", 0,
@@ -118,9 +116,6 @@ func main() {
 	}
 	if overrides("skip-idle") {
 		s.Run.SkipIdle = *skipIdle
-	}
-	if overrides("parallel-cores") {
-		s.Run.ParallelCores = *parallelCores
 	}
 	if overrides("fast-forward") {
 		s.Run.FastForwardInsts = *fastForward
@@ -235,7 +230,6 @@ func main() {
 		m.Core(i).SetReg(isa.X0, uint64(i))
 	}
 	m.SkipIdle = s.Run.SkipIdle
-	m.ParallelCores = s.Run.ParallelCores
 	if *traceText {
 		m.Core(0).TraceFn = func(f string, a ...any) { fmt.Printf(f+"\n", a...) }
 	}

@@ -62,52 +62,6 @@ func TestRunCampaignParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunCampaignParallelCoresByteIdentical pins the chaos half of the
-// intra-machine parallelism contract: requesting parallel core stepping on
-// a campaign must change nothing — every injected cell installs the fault
-// driver's PerCycle hook, which makes the machine fall back to the serial
-// walk, so the reports are byte-identical by construction. The test is the
-// witness that the fallback actually engages (a racy parallel chaos run
-// would produce different injection schedules).
-func TestRunCampaignParallelCoresByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	spec := workloads.ByName("505.mcf_r")
-	if spec == nil {
-		t.Fatal("workload 505.mcf_r missing")
-	}
-	var cells []CampaignCell
-	for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			cells = append(cells, CampaignCell{
-				Spec: spec, Mit: mit,
-				Cfg: Config{Seed: seed, Kinds: AllKinds(), Rate: 0.02, MaxLatency: 200},
-			})
-		}
-	}
-	run := func(parallelCores int) string {
-		reps, err := RunCampaignOpts(cells, CampaignOptions{
-			Scale: 0.02, MaxCycles: 50_000_000,
-			ParallelCores: parallelCores,
-		})
-		if err != nil {
-			t.Fatalf("parallelCores=%d: %v", parallelCores, err)
-		}
-		var b strings.Builder
-		for i, rep := range reps {
-			fmt.Fprintf(&b, "cell %d: seed=%d injected=%d cycles=%d summary=%q div=%v\n",
-				i, rep.Seed, rep.Injected, rep.Cycles, rep.Summary, rep.Divergence)
-		}
-		return b.String()
-	}
-	serial := run(1)
-	if got := run(4); got != serial {
-		t.Errorf("parallel-cores campaign diverges from serial:\n-- serial --\n%s\n-- parallel --\n%s",
-			serial, got)
-	}
-}
-
 // TestRunCampaignMetricsDeterminism checks the campaign's JSONL metrics
 // stream: one record per cell in cell order, byte-identical for any worker
 // count, and attaching metrics must not perturb the reports themselves.

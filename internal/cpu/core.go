@@ -251,14 +251,6 @@ type Core struct {
 	Obs *obs.CoreTrace
 	Met *obs.CoreMetrics
 
-	// gate, when non-nil, is the machine's parallel-step baton (gate.go):
-	// the core must pass through it before its first touch of shared state
-	// — hierarchy, memory image, tag sidecar, oracle event recording — in
-	// each tick. gateHeld notes that this tick already holds the baton.
-	// Both are nil/false in serial runs.
-	gate     *stepGate
-	gateHeld bool
-
 	// lastCommitCycle is the cycle of the most recent commit — the
 	// watchdog's progress signal.
 	lastCommitCycle uint64
@@ -323,6 +315,7 @@ type Core struct {
 	nCommits, nRestricted, nDispatched, nDispatchStall, nCFIStall *uint64
 	nLoads, nStoresExec, nStoresCommitted, nBrCorrect, nBrMispred *uint64
 	nSquashes, nSquashedInsts                                     *uint64
+	nPolicyBlock                                                  [numPolicyBlocks]*uint64
 }
 
 // bump increments a lazily-bound counter handle.
@@ -624,21 +617,6 @@ func (c *Core) SetReg(r isa.Reg, v uint64) {
 	if r != isa.XZR {
 		c.cRegs[r] = v
 	}
-}
-
-// enterShared serialises the core's first shared-state access of this tick
-// behind the machine's step baton: it returns only once every lower-ID
-// core has finished its tick, so the shared state (hierarchy, memory
-// image, tags, oracle events) is exactly what the serial walk would show.
-// A no-op in serial runs (one nil compare) and on every access after the
-// first in a tick. Reads of run-immutable state — the program, the config,
-// the oracle's secret regions — do not need it.
-func (c *Core) enterShared() {
-	if c.gate == nil || c.gateHeld {
-		return
-	}
-	c.gate.acquire(c.ID)
-	c.gateHeld = true
 }
 
 // TSH exposes the core's tag-check status handler (stats, tests).

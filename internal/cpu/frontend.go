@@ -17,9 +17,9 @@ import (
 // bit-identical: InstAt returns nil for non-code addresses (the fetch stage
 // treats that as falling off the text), InstsFrom returns the straight-line
 // run to the end of the enclosing code region, and EntryPC is where core 0
-// starts. Implementations must be safe for concurrent readers: multi-core
-// machines fetch from all cores, and the parallel-stepping mode does so from
-// one goroutine per core. Returned *isa.Inst values are aliases into the
+// starts. Implementations must be safe for concurrent readers: sweep cells
+// running on separate goroutines may share one frontend. Returned *isa.Inst
+// values are aliases into the
 // frontend's storage and must not be mutated.
 //
 // internal/golden declares a structurally identical Source interface; any

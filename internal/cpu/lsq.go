@@ -60,7 +60,6 @@ func (c *Core) startMemOp(e *robEntry) {
 			e.state = stDispatched // retry once the tag write commits
 			return
 		}
-		c.enterShared()
 		lock := c.img.Tags.Lock(e.addr)
 		oldRd, _ := c.readSource2(e, in.Rd)
 		e.result, e.hasResult = mte.WithKey(oldRd, lock), true
@@ -119,7 +118,6 @@ func (c *Core) executeStore(e *robEntry) {
 			return
 		}
 		if c.mteOn {
-			c.enterShared()
 			ok := c.img.Tags.CheckAccess(e.addr, e.inst.MemBytes())
 			e.tagOK = ok
 			c.tsh.OnResult(e.seq, ok)
@@ -153,7 +151,6 @@ func (c *Core) executeAtomic(e *robEntry) {
 		e.state = stDispatched
 		return
 	}
-	c.enterShared()
 	res := c.hier.Access(cache.AccessReq{
 		Core: c.ID, Ptr: e.addr, Size: 8, Write: true, Now: c.cycle,
 	})
@@ -291,7 +288,6 @@ func (c *Core) executeLoad(e *robEntry) {
 		e.fault = true // permission fault at commit
 		c.markRisk(e)
 		c.tsh.OnIssue(e.seq)
-		c.enterShared()
 		res := c.hier.Access(cache.AccessReq{
 			Core: c.ID, Ptr: e.addr, Size: size, Now: c.cycle,
 			Spec: true, BlockUnsafe: c.specChecks,
@@ -373,7 +369,6 @@ func (c *Core) executeLoad(e *robEntry) {
 			st.falloutFwds = append(st.falloutFwds, e.seq)
 			c.markRisk(e)
 			e.tagOK = true
-			c.enterShared() // SecretReads accounting mutates the oracle
 			if st.secret || (c.oracle.HasSecrets() && c.oracle.IsSecret(mte.Strip(st.addr), 8)) {
 				e.secret = true
 				c.oracle.SecretReads++
@@ -392,7 +387,6 @@ func (c *Core) executeLoad(e *robEntry) {
 	if c.specChecks && e.memDepSpec && mte.Key(e.addr) != 0 {
 		if !e.prefetched {
 			e.prefetched = true
-			c.enterShared()
 			c.hier.Access(cache.AccessReq{
 				Core: c.ID, Ptr: e.addr, Size: size, Now: c.cycle,
 				Spec: true, BlockUnsafe: true,
@@ -410,7 +404,6 @@ func (c *Core) executeLoad(e *robEntry) {
 	// MDS attacks walk through.
 	ghostUsed := c.ghostOn && c.specOrMemDep(e)
 	c.tsh.OnIssue(e.seq)
-	c.enterShared()
 	res := c.hier.Access(cache.AccessReq{
 		Core: c.ID, Ptr: e.addr, Size: size, Now: c.cycle,
 		Spec: spec, BlockUnsafe: c.specChecks, Ghost: ghostUsed,
@@ -527,7 +520,6 @@ func (c *Core) completeMemAccess(e *robEntry) {
 		return
 	}
 	size := e.inst.MemBytes()
-	c.enterShared()
 	e.result, e.hasResult = c.img.ReadUint(mte.Strip(e.addr), size), true
 	if c.mteOn && !e.tagOK {
 		// Committed-path MTE semantics: fault at commit. (Under plain MTE
@@ -564,7 +556,6 @@ func (c *Core) replayUnsafe(e *robEntry) {
 		c.obsRecord(e.seq, e.pc, obs.EvTagDelayEnd, d)
 		e.unsafeSince = 0
 	}
-	c.enterShared()
 	res := c.hier.Access(cache.AccessReq{
 		Core: c.ID, Ptr: e.addr, Size: e.inst.MemBytes(), Now: c.cycle,
 	})

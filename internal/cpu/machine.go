@@ -18,7 +18,6 @@ import (
 // commit, and runs the write-to-full-address comparison that squashes
 // Fallout-style false forwards.
 func (c *Core) commitStore(e *robEntry) {
-	c.enterShared() // every arm touches the hierarchy, image, or tag sidecar
 	in := e.inst
 	switch in.Op {
 	case isa.STR, isa.STRB:
@@ -91,17 +90,6 @@ type Machine struct {
 	// every cycle (a PerCycle hook, i.e. chaos injection) bypass it
 	// automatically.
 	SkipIdle bool
-
-	// ParallelCores selects the intra-machine stepping mode for Run (see
-	// gate.go): 0 = auto (one goroutine per core when the machine has more
-	// than one core and GOMAXPROCS > 1), 1 = force the serial walk, >= 2 =
-	// force parallel stepping even on a single-threaded GOMAXPROCS. Both
-	// modes are bit-identical; the knob only trades wall-clock for
-	// goroutine-handoff overhead. Bare Step calls always walk serially.
-	ParallelCores int
-
-	// crew is the per-core worker pool, non-nil only inside a parallel run.
-	crew *coreCrew
 
 	cycle uint64
 	// skipLimit caps skips at Run's cycle budget so timed-out runs end on
@@ -216,12 +204,8 @@ func (m *Machine) Done() bool {
 // progress.
 func (m *Machine) Step() {
 	m.cycle++
-	if m.crew != nil {
-		m.crew.step()
-	} else {
-		for _, c := range m.Cores {
-			c.Tick()
-		}
+	for _, c := range m.Cores {
+		c.Tick()
 	}
 	if m.PerCycle != nil {
 		m.PerCycle(m.cycle)
@@ -300,12 +284,14 @@ func (m *Machine) run(maxCycles uint64, stop func() bool) *RunResult {
 	var simErr *SimError
 	var stopped bool
 	m.skipLimit = maxCycles
-	if m.parallelEligible() {
-		m.crew = startCrew(m.Cores)
-		defer func() {
-			m.crew.shutdown()
-			m.crew = nil
-		}()
+	// The watchdog scans after each Step that ends on a multiple of
+	// CheckEvery — the cycles Watchdog.Check accepts — without a modulo per
+	// cycle. A Step whose tick lands on a multiple and then skips idle
+	// cycles ends past it, off a multiple, and does not scan.
+	wd := m.Watchdog
+	nextScan := noEvent
+	if wd != nil && wd.CheckEvery > 0 {
+		nextScan = wd.nextScan(m.cycle)
 	}
 	for m.cycle < maxCycles && !m.Done() {
 		if stop != nil && stop() {
@@ -313,9 +299,13 @@ func (m *Machine) run(maxCycles uint64, stop func() bool) *RunResult {
 			break
 		}
 		m.Step()
-		if m.Watchdog != nil {
-			if simErr = m.Watchdog.Check(m); simErr != nil {
-				break
+		if m.cycle >= nextScan {
+			due := m.cycle == nextScan
+			nextScan = wd.nextScan(m.cycle)
+			if due {
+				if simErr = wd.scan(m); simErr != nil {
+					break
+				}
 			}
 		}
 	}

@@ -147,7 +147,6 @@ func (c *Core) fetch() {
 		}
 		// One I-cache access per line per fetch group.
 		if line := c.fetchPC &^ uint64(c.cfg.LineBytes-1); line != c.lastFetchLine {
-			c.enterShared()
 			ready := c.hier.FetchInst(c.ID, c.fetchPC, c.cycle)
 			if ready > c.cycle+c.cfg.L1ILatency {
 				c.fetchStallTo = ready // i-cache miss
@@ -485,9 +484,9 @@ func (c *Core) issue() {
 			}
 			continue
 		}
-		if blocked, key := c.policyBlocksIssue(e); blocked {
+		if b := c.policyBlocksIssue(e); b != notBlocked {
 			e.policyDelayed = true
-			c.Stats.Inc(key)
+			bump(&c.nPolicyBlock[b], c.Stats, policyBlockKeys[b])
 			c.readyQ[w] = seq
 			w++
 			continue
@@ -931,7 +930,6 @@ func (c *Core) releaseEntry(e *robEntry, squashed bool) {
 		}
 		c.obsRecord(e.seq, e.pc, obs.EvSquash, 0)
 		if c.ghostOn && e.isLoad && e.memIssued && e.addrReady {
-			c.enterShared()
 			c.hier.DropGhost(c.ID, e.addr)
 		}
 		c.promoteCandidates(e.seq)
@@ -1017,7 +1015,6 @@ func (c *Core) commitEntry(e *robEntry) {
 	case isa.STR, isa.STRB, isa.STG, isa.ST2G, isa.SWPAL:
 		c.commitStore(e)
 	case isa.DC:
-		c.enterShared()
 		c.hier.FlushLine(e.addr, c.cycle)
 	case isa.SVC:
 		c.commitSVC(e)
@@ -1025,7 +1022,6 @@ func (c *Core) commitEntry(e *robEntry) {
 		c.Halted = true
 	}
 	if c.ghostOn && e.isLoad && e.memIssued {
-		c.enterShared()
 		c.hier.PromoteGhost(c.ID, e.addr, c.cycle)
 	}
 }

@@ -7,18 +7,42 @@ import (
 	"specasan/internal/obs"
 )
 
-// policyBlocksIssue applies the active mitigation's issue-time gates.
-// SpecASan itself never blocks here (its selective delay happens at the
-// memory response); the gates below model the defences the paper compares
-// against, plus the delay-all ablation of SpecASan. The returned reason is
-// the full stat key (constants, not built by concatenation: this runs every
-// cycle for every blocked entry and must not allocate).
-func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
+// policyBlock names the issue-time gate that held an entry back. It indexes
+// policyBlockKeys and the Core.nPolicyBlock counter handles: issue counts a
+// block for every blocked entry on every cycle, so the stat is bumped
+// through a handle rather than a string-keyed lookup.
+type policyBlock uint8
+
+const (
+	blockAtomic policyBlock = iota
+	blockFence
+	blockSTT
+	blockDelayAll
+	blockDOM
+	numPolicyBlocks
+
+	notBlocked = numPolicyBlocks
+)
+
+var policyBlockKeys = [numPolicyBlocks]string{
+	blockAtomic:   "policy_block_atomic",
+	blockFence:    "policy_block_fence",
+	blockSTT:      "policy_block_stt",
+	blockDelayAll: "policy_block_delay_all",
+	blockDOM:      "policy_block_dom",
+}
+
+// policyBlocksIssue applies the active mitigation's issue-time gates and
+// returns the gate that blocks e, or notBlocked. SpecASan itself never
+// blocks here (its selective delay happens at the memory response); the
+// gates below model the defences the paper compares against, plus the
+// delay-all ablation of SpecASan.
+func (c *Core) policyBlocksIssue(e *robEntry) policyBlock {
 	in := e.inst
 
 	// Structural, not a mitigation: atomics and barriers run at the head.
 	if in.Op == isa.SWPAL && (e.seq != c.headSeq || c.speculative(e)) {
-		return true, "policy_block_atomic"
+		return blockAtomic
 	}
 
 	// Speculative barriers (lfence-style): a load issues only when every
@@ -26,7 +50,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 	// before each memory access (the delay-ACCESS defence class of
 	// Figure 1).
 	if c.fenceOn && e.isLoad && c.olderIncomplete(e.seq) {
-		return true, "policy_block_fence"
+		return blockFence
 	}
 
 	// STT: "transmit" instructions with tainted operands are delayed until
@@ -36,7 +60,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 	if c.taintOn {
 		transmit := e.isLoad || e.isStore || e.isBranch
 		if transmit && c.entryTainted(e) != 0 {
-			return true, "policy_block_stt"
+			return blockSTT
 		}
 	}
 
@@ -49,7 +73,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 			rm, _ = c.readSource2(e, in.Rm)
 		}
 		if mte.Key(isa.EffAddr(in, rn, rm)) != 0 {
-			return true, "policy_block_delay_all"
+			return blockDelayAll
 		}
 	}
 
@@ -65,12 +89,11 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 		if !in.HasImm {
 			rm, _ = c.readSource2(e, in.Rm)
 		}
-		c.enterShared()
 		if !c.hier.Probe(c.ID, isa.EffAddr(in, rn, rm), c.cycle, c.domLFBHit) {
-			return true, "policy_block_dom"
+			return blockDOM
 		}
 	}
-	return false, ""
+	return notBlocked
 }
 
 // onUnsafeAccess reacts to an SSA=0 signal: the ROB holds the unsafe access
@@ -137,7 +160,6 @@ func (c *Core) promoteCandidates(seq uint64) {
 		return
 	}
 	for _, ev := range c.candidates[seq] {
-		c.enterShared()
 		c.oracle.Record(ev)
 	}
 	delete(c.candidates, seq)

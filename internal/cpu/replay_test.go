@@ -127,9 +127,7 @@ func BenchmarkReplayVsDecode(b *testing.B) {
 // TestReplayMatchesLiveDecode is the replay contract: a machine fetching
 // from a recorded trace must be bit-identical to one fetching from the
 // live-assembled program — same cycles, counters, architectural state,
-// leak record, and event traces — at 1, 2, and 4 cores. The fingerprint is
-// the same one the parallel-stepping identity tests use, so "identical"
-// here means identical to the strictest standard the repo has.
+// leak record, and event traces — at 1, 2, and 4 cores (see runFingerprint).
 func TestReplayMatchesLiveDecode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -153,8 +151,8 @@ func TestReplayMatchesLiveDecode(t *testing.T) {
 		}
 		t.Run(tc.spec.Name+"/"+tc.mit.String(), func(t *testing.T) {
 			t.Parallel()
-			live := parallelFingerprint(t, buildLive(tc.spec, tc.mit, tc.scale), 1, budget)
-			replay := parallelFingerprint(t, buildReplay(tc.spec, tc.mit, tc.scale), 1, budget)
+			live := runFingerprint(t, buildLive(tc.spec, tc.mit, tc.scale), budget)
+			replay := runFingerprint(t, buildReplay(tc.spec, tc.mit, tc.scale), budget)
 			if live != replay {
 				t.Errorf("replay fingerprint diverges from live decode:\nlive:   %s\nreplay: %s", live, replay)
 			}

@@ -30,8 +30,10 @@ package cpu
 // prefetcher, oracle) is pull-based: state changes happen inside core-tick
 // calls, never "between" them, so no standalone events exist there.
 //
-// The watchdog is handled by the machine: skips never cross a CheckEvery
-// boundary, so Watchdog.Check observes the same cycles it would unskipped.
+// The watchdog is handled by the machine: a skip stops short of the next
+// CheckEvery boundary, so every boundary cycle is ticked. Machine.run scans
+// after each Step that ends on a boundary; a Step whose tick lands on one
+// and then skips ends past it, and that boundary goes unscanned.
 
 // noEvent means "no future event known" — the core is waiting on nothing
 // this model tracks (wedged or spinning off the code edge). The machine may
@@ -221,11 +223,10 @@ func (m *Machine) skipIdle() {
 	if !running {
 		return // machine is done; Run exits at the current cycle
 	}
-	// Never skip across a watchdog boundary: Check must observe the same
-	// multiples of CheckEvery it would unskipped (this also bounds the jump
-	// when no core reports an event — a wedge the watchdog will call).
+	// Never skip across a watchdog boundary: the boundary cycle is always
+	// ticked (this also bounds the jump when no core reports an event).
 	if m.Watchdog != nil && m.Watchdog.CheckEvery > 0 {
-		if b := (now/m.Watchdog.CheckEvery + 1) * m.Watchdog.CheckEvery; b < target {
+		if b := m.Watchdog.nextScan(now); b < target {
 			target = b
 		}
 	}

@@ -60,11 +60,23 @@ func NewWatchdog(cores int) *Watchdog {
 }
 
 // Check scans every live core and returns a SimError if one has stalled or
-// broken a pipeline invariant. It is cheap on non-scan cycles.
+// broken a pipeline invariant. It scans only on multiples of CheckEvery;
+// Machine.Run reaches the same scans through nextScan without the modulo.
 func (w *Watchdog) Check(m *Machine) *SimError {
 	if w.CheckEvery == 0 || m.cycle%w.CheckEvery != 0 {
 		return nil
 	}
+	return w.scan(m)
+}
+
+// nextScan returns the first multiple of CheckEvery after cycle. CheckEvery
+// must be non-zero.
+func (w *Watchdog) nextScan(cycle uint64) uint64 {
+	return (cycle/w.CheckEvery + 1) * w.CheckEvery
+}
+
+// scan checks every live core unconditionally.
+func (w *Watchdog) scan(m *Machine) *SimError {
 	for i, c := range m.Cores {
 		if c.Halted || c.Faulted {
 			continue

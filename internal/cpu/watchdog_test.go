@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -145,5 +146,78 @@ done:
 	}
 	if !strings.Contains(res.String(), "timedOutCores=[1]") {
 		t.Fatalf("String() = %q", res.String())
+	}
+}
+
+// Run gates watchdog scans by comparing the cycle against the next multiple
+// of CheckEvery instead of calling Check every cycle. It must scan exactly
+// the cycles Check would: the verdict (kind, core, cycle, detail) has to
+// match a Step+Check reference loop for power-of-two and other intervals,
+// with idle skipping on and off, and across a Run that starts mid-interval.
+// The off-edge program has fetch run off the end of the code, so skipIdle
+// jumps up to each watchdog boundary; the wedged one never skips. Without
+// skipping both programs must reach a commit-stall verdict.
+func TestRunWatchdogScansMatchCheck(t *testing.T) {
+	offEdge, err := asm.Assemble(`
+_start:
+    ADD  X1, X1, #1
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []struct {
+		name  string
+		prog  *asm.Program
+		wedge bool
+	}{{"wedged", wedgeProg(t), true}, {"off-edge", offEdge, false}}
+	const budget = 200_000
+	build := func(t *testing.T, prog *asm.Program, wedge, skip bool, every uint64) *Machine {
+		m, err := NewMachine(core.DefaultConfig(), core.Unsafe, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SkipIdle = skip
+		m.Watchdog.StallCycles = 2000
+		m.Watchdog.CheckEvery = every
+		if wedge {
+			m.Core(0).InjectWedge()
+		}
+		return m
+	}
+	verdict := func(cycles uint64, e *SimError) string {
+		if e == nil {
+			return fmt.Sprintf("cycles=%d no verdict", cycles)
+		}
+		return fmt.Sprintf("cycles=%d %s core=%d cycle=%d %s", cycles, e.Kind, e.Core, e.Cycle, e.Detail)
+	}
+	for _, p := range progs {
+		for _, every := range []uint64{1, 7, 64, 1000, 1024} {
+			for _, skip := range []bool{true, false} {
+				name := fmt.Sprintf("%s/every%d/skip=%v", p.name, every, skip)
+				t.Run(name, func(t *testing.T) {
+					ref := build(t, p.prog, p.wedge, skip, every)
+					var refErr *SimError
+					for _, limit := range []uint64{1500, budget} {
+						ref.skipLimit = limit
+						for refErr == nil && ref.cycle < limit && !ref.Done() {
+							ref.Step()
+							refErr = ref.Watchdog.Check(ref)
+						}
+					}
+					m := build(t, p.prog, p.wedge, skip, every)
+					res := m.Run(1500)
+					if res.Err == nil {
+						res = m.Run(budget)
+					}
+					want, got := verdict(ref.cycle, refErr), verdict(res.Cycles, res.Err)
+					if refErr == nil && !skip {
+						t.Fatalf("reference loop reached no verdict: %s", want)
+					}
+					if got != want {
+						t.Errorf("Run verdict differs from the Step+Check loop:\n got: %s\nwant: %s", got, want)
+					}
+				})
+			}
+		}
 	}
 }

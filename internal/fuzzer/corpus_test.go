@@ -3,20 +3,20 @@ package fuzzer
 import (
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"specasan/internal/attacks"
 	"specasan/internal/core"
-	"specasan/internal/cpu"
 	"specasan/internal/scenario"
 )
 
-// TestPoCCorpusParallelCoresByteIdentical replays the checked-in PoC corpus
-// with intra-machine parallel core stepping requested and pins every
+// TestPoCCorpusParallelCoresByteIdentical replays the checked-in PoC
+// corpus solo and then as identical replays on parallel goroutines, the
+// way the fuzzer's evaluation pool runs candidates, and pins every
 // outcome — leak bit, secret-read count, per-channel event counts, and the
-// exact cycle count — to the serial replay. PoC machines are single-core,
-// so the machine's eligibility check must route them to the serial walk;
-// any outcome drift here means the stepping mode leaked into results.
+// exact cycle count — to the solo replay. Any drift means replays share
+// mutable state; under -race that state is a reported data race.
 func TestPoCCorpusParallelCoresByteIdentical(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "pocs", "*.json"))
 	if err != nil {
@@ -26,7 +26,6 @@ func TestPoCCorpusParallelCoresByteIdentical(t *testing.T) {
 		t.Fatal("no checked-in PoCs under testdata/pocs")
 	}
 	for _, path := range paths {
-		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			t.Parallel()
 			p, err := ReadPoC(path)
@@ -38,18 +37,29 @@ func TestPoCCorpusParallelCoresByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("row names unknown mitigation: %v", err)
 				}
-				serial, err := attacks.RunVariantWith(p.Variant(), mit, nil)
+				solo, err := attacks.RunVariantWith(p.Variant(), mit, nil)
 				if err != nil {
-					t.Fatalf("serial replay under %v: %v", mit, err)
+					t.Fatalf("solo replay under %v: %v", mit, err)
 				}
-				parallel, err := attacks.RunVariantWith(p.Variant(), mit,
-					func(m *cpu.Machine) { m.ParallelCores = 4 })
-				if err != nil {
-					t.Fatalf("parallel replay under %v: %v", mit, err)
+				outs := make([]*attacks.Outcome, 2)
+				errs := make([]error, len(outs))
+				var wg sync.WaitGroup
+				for i := range outs {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						outs[i], errs[i] = attacks.RunVariantWith(p.Variant(), mit, nil)
+					}(i)
 				}
-				if !reflect.DeepEqual(serial, parallel) {
-					t.Errorf("%v: parallel-cores replay diverged:\nserial   %+v\nparallel %+v",
-						mit, serial, parallel)
+				wg.Wait()
+				for i, out := range outs {
+					if errs[i] != nil {
+						t.Fatalf("concurrent replay %d under %v: %v", i, mit, errs[i])
+					}
+					if !reflect.DeepEqual(solo, out) {
+						t.Errorf("%v: concurrent replay %d diverged:\nsolo       %+v\nconcurrent %+v",
+							mit, i, solo, out)
+					}
 				}
 			}
 		})

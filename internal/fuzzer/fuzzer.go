@@ -29,11 +29,6 @@ type Options struct {
 	Budget time.Duration
 	// Workers sizes the evaluation pool (0 = GOMAXPROCS).
 	Workers int
-	// ParallelCores sets intra-machine core stepping on every evaluation
-	// machine (cpu.Machine.ParallelCores semantics). Result-neutral: the
-	// corpus bytes are identical for any value, so it is not part of the
-	// evaluation cache key.
-	ParallelCores int
 	// OutDir is the results root: PoCs land in OutDir/pocs, architectural
 	// divergences in OutDir/differential. Empty disables emission (tests).
 	OutDir string
@@ -88,16 +83,16 @@ func storeSpace(mits []core.Mitigation) string {
 	return "fuzz-" + hex.EncodeToString(h.Sum(nil))[:12]
 }
 
-func evaluateCached(c *Candidate, mits []core.Mitigation, st *store.Store, space string, parallelCores int) (*Evaluation, bool) {
+func evaluateCached(c *Candidate, mits []core.Mitigation, st *store.Store, space string) (*Evaluation, bool) {
 	if st == nil {
-		return EvaluateCandidateParallel(c, mits, parallelCores), false
+		return EvaluateCandidate(c, mits), false
 	}
 	key := store.Key{Space: space, Name: c.Hash()}
 	var cached Evaluation
 	if ok, err := st.GetJSON(key, &cached); err == nil && ok {
 		return &cached, true
 	}
-	ev := EvaluateCandidateParallel(c, mits, parallelCores)
+	ev := EvaluateCandidate(c, mits)
 	_ = st.PutJSON(key, ev) // best-effort: read-only stores degrade to misses
 	return ev, false
 }
@@ -141,7 +136,7 @@ func Run(opts Options) (*Report, error) {
 		hits := make([]bool, n)
 		par.ForEachOrdered(n, opts.Workers, func(i int) {
 			cands[i] = Generate(opts.Seed, start+i)
-			evals[i], hits[i] = evaluateCached(cands[i], mits, opts.Store, space, opts.ParallelCores)
+			evals[i], hits[i] = evaluateCached(cands[i], mits, opts.Store, space)
 		}, func(i int) {
 			c, ev := cands[i], evals[i]
 			report.Candidates++
@@ -215,7 +210,7 @@ func Run(opts Options) (*Report, error) {
 				continue
 			}
 		}
-		final := EvaluateCandidateParallel(min, mits, opts.ParallelCores)
+		final := EvaluateCandidate(min, mits)
 		if !final.Valid || !final.Flagged() {
 			report.Unminimisable = append(report.Unminimisable,
 				fmt.Sprintf("%s: minimised form no longer flags (valid=%v)", f.Cand.Name(), final.Valid))

@@ -56,12 +56,6 @@ type Options struct {
 	// SkipIdle). Skipping is exactness-preserving, so this only trades
 	// speed for a cycle-by-cycle walk — useful for A/B determinism checks.
 	NoSkipIdle bool
-	// ParallelCores selects intra-machine stepping (cpu.Machine
-	// ParallelCores): 0 = auto (one goroutine per simulated core when the
-	// cell has several cores and GOMAXPROCS > 1), 1 = force the serial
-	// walk, >= 2 = force parallel stepping. Bit-identical either way —
-	// results, logs, and metrics never depend on it.
-	ParallelCores int
 	// Config, when set, is the machine configuration every run uses (its
 	// Cores field is overridden per workload); nil means core.DefaultConfig.
 	// Scenario-driven runs set this to the scenario's Machine.
@@ -240,7 +234,6 @@ func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*Perf
 		m.Core(i).SetReg(isa.X0, uint64(i))
 	}
 	m.SkipIdle = !opt.NoSkipIdle
-	m.ParallelCores = opt.ParallelCores
 	var met *obs.Metrics
 	if opt.Metrics != nil {
 		met = obs.NewMetrics(cfg.Cores)

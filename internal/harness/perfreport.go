@@ -30,7 +30,11 @@ import (
 // recorded instead of silently imposed. v5 adds the trace-replay block:
 // the same single-core cell run start to finish fetching from the
 // live-assembled program and from a recorded trace, so the report records
-// what replay costs (or saves) per simulated instruction.
+// what replay costs (or saves) per simulated instruction. The multicore
+// block is no longer measured (machines step their cores serially, so
+// there is no second stepping mode to compare): v5 reports written since
+// omit it, and older files that carry it still load — the block is
+// ignored and their history entries keep its fields.
 const (
 	PerfSchema   = "specasan-bench/perf/v5"
 	perfSchemaV4 = "specasan-bench/perf/v4"
@@ -103,22 +107,6 @@ type SampledSweepPerf struct {
 	MaxIPCDeltaPct     float64 `json:"max_ipc_delta_pct"`
 }
 
-// MulticorePerf is the intra-machine parallel-stepping measurement: the
-// same multi-core machine run start to finish with serial core stepping
-// and with one goroutine per simulated core (ParallelCores forced past
-// the auto fallback). The determinism suite pins the two runs to
-// byte-identical results; this block records what the goroutines buy —
-// or, on a single-hardware-thread host, what the barrier handoffs cost.
-type MulticorePerf struct {
-	Workload            string  `json:"workload"`
-	Cores               int     `json:"cores"`
-	GoMaxProcs          int     `json:"gomaxprocs"`
-	Cycles              uint64  `json:"cycles_simulated"`
-	SerialWallSeconds   float64 `json:"serial_wall_seconds"`
-	ParallelWallSeconds float64 `json:"parallel_wall_seconds"`
-	Speedup             float64 `json:"speedup_vs_serial"`
-}
-
 // ReplayPerf is the trace-replay measurement: the single-core recipe run
 // start to finish fetching from the live-assembled program and from a
 // recorded trace of the same build. Both machines are bit-identical by the
@@ -168,7 +156,8 @@ type PerfHistoryEntry struct {
 	// recorded before it carry zero and marshal without the fields.
 	GoldenMIPS          float64 `json:"golden_mips,omitempty"`
 	SampledSweepSpeedup float64 `json:"sampled_sweep_speedup_vs_full,omitempty"`
-	// MulticoreCores and MulticoreSpeedup arrive with the v4 schema.
+	// MulticoreCores and MulticoreSpeedup arrive with the v4 schema and are
+	// no longer measured; past entries keep them.
 	MulticoreCores   int     `json:"multicore_cores,omitempty"`
 	MulticoreSpeedup float64 `json:"multicore_speedup_vs_serial,omitempty"`
 	// ReplayOverhead arrives with the v5 schema: trace-replay ns/inst over
@@ -187,7 +176,6 @@ type PerfReport struct {
 	Golden            GoldenPerf       `json:"golden"`
 	Sweep             SweepPerf        `json:"sweep"`
 	SampledSweep      SampledSweepPerf `json:"sampled_sweep"`
-	Multicore         MulticorePerf    `json:"multicore"`
 	Replay            ReplayPerf       `json:"replay"`
 	Baseline          PerfBaseline     `json:"baseline"`
 	SingleCoreSpeedup float64          `json:"single_core_speedup_vs_baseline"`
@@ -210,8 +198,6 @@ func (r *PerfReport) HistoryEntry(description string) PerfHistoryEntry {
 
 		GoldenMIPS:          r.Golden.SimMIPS,
 		SampledSweepSpeedup: r.SampledSweep.Speedup,
-		MulticoreCores:      r.Multicore.Cores,
-		MulticoreSpeedup:    r.Multicore.Speedup,
 		ReplayOverhead:      r.Replay.Overhead,
 	}
 }
@@ -442,72 +428,9 @@ func MeasureSampledSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Op
 	return sp, nil
 }
 
-// Fixed recipe for the multicore leg: a 4-thread PARSEC kernel large
-// enough that a whole-machine run dominates goroutine startup, bounded so
-// a wedged build cannot hang the measurement.
-const (
-	perfMulticoreWorkload  = "blackscholes"
-	perfMulticoreScale     = 1
-	perfMulticoreMaxCycles = 100_000_000
-)
-
-// MeasureMulticore runs the fixed multicore recipe twice — serial core
-// stepping, then one goroutine per simulated core — and reports both wall
-// times. ParallelCores is forced to the core count for the parallel leg,
-// bypassing the GOMAXPROCS auto fallback, so the block records the real
-// cost/benefit of the goroutine schedule on this host either way.
-func MeasureMulticore() (MulticorePerf, error) {
-	spec := workloads.ByName(perfMulticoreWorkload)
-	if spec == nil {
-		return MulticorePerf{}, fmt.Errorf("workload %s missing", perfMulticoreWorkload)
-	}
-	run := func(parallel int) (float64, uint64, error) {
-		prog, err := spec.Build(false, perfMulticoreScale)
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Cores = spec.Threads
-		m, err := cpu.NewMachine(cfg, core.Unsafe, prog)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < spec.Threads; i++ {
-			m.Core(i).SetReg(isa.X0, uint64(i))
-		}
-		m.ParallelCores = parallel
-		start := time.Now()
-		res := m.Run(perfMulticoreMaxCycles)
-		wall := time.Since(start)
-		if res.Err != nil {
-			return 0, 0, fmt.Errorf("%s (parallel=%d): %v", perfMulticoreWorkload, parallel, res.Err)
-		}
-		if res.TimedOut {
-			return 0, 0, fmt.Errorf("%s (parallel=%d): timed out at %d cycles", perfMulticoreWorkload, parallel, res.Cycles)
-		}
-		return wall.Seconds(), res.Cycles, nil
-	}
-	serialWall, cycles, err := run(1)
-	if err != nil {
-		return MulticorePerf{}, err
-	}
-	parallelWall, _, err := run(spec.Threads)
-	if err != nil {
-		return MulticorePerf{}, err
-	}
-	mp := MulticorePerf{
-		Workload:            perfMulticoreWorkload,
-		Cores:               spec.Threads,
-		GoMaxProcs:          runtime.GOMAXPROCS(0),
-		Cycles:              cycles,
-		SerialWallSeconds:   serialWall,
-		ParallelWallSeconds: parallelWall,
-	}
-	if parallelWall > 0 {
-		mp.Speedup = serialWall / parallelWall
-	}
-	return mp, nil
-}
+// perfRunMaxCycles bounds the replay leg's whole-machine runs so a wedged
+// build cannot hang the measurement.
+const perfRunMaxCycles = 100_000_000
 
 // MeasureReplay records the single-core recipe as a trace and runs the cell
 // to completion twice — fetching from the live-assembled program, then from
@@ -539,7 +462,7 @@ func MeasureReplay() (ReplayPerf, error) {
 			m.Core(i).SetReg(isa.X0, uint64(i))
 		}
 		start := time.Now()
-		res := m.Run(perfMulticoreMaxCycles)
+		res := m.Run(perfRunMaxCycles)
 		wall := time.Since(start)
 		if res.Err != nil {
 			return 0, 0, fmt.Errorf("%s replay leg: %v", perfWorkloadName, res.Err)
@@ -614,8 +537,7 @@ func MeasureSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) 
 
 // MeasurePerf produces the full report: single-core steady state, golden
 // interpreter throughput, the serial-vs-parallel sweep comparison, the
-// sampled-vs-full sweep comparison, and the intra-machine multicore
-// comparison. The sweep legs run at opt.Workers (0 = GOMAXPROCS, the
+// sampled-vs-full sweep comparison, and trace-replay overhead. The sweep legs run at opt.Workers (0 = GOMAXPROCS, the
 // historical pin) and the resolved pool size is recorded in the report —
 // the -sweep-workers flag reaches here, it is no longer silently
 // overridden. Warmup for the single-core leg comes from opt's WarmupCycles
@@ -630,10 +552,6 @@ func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, 
 		return nil, err
 	}
 	sweep, err := MeasureSweep(specs, mits, opt)
-	if err != nil {
-		return nil, err
-	}
-	multi, err := MeasureMulticore()
 	if err != nil {
 		return nil, err
 	}
@@ -665,7 +583,6 @@ func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, 
 		Golden:       gold,
 		Sweep:        sweep,
 		SampledSweep: sampled,
-		Multicore:    multi,
 		Replay:       replay,
 		Baseline:     base,
 	}

@@ -27,10 +27,6 @@ func TestPerfReportRoundTrip(t *testing.T) {
 			Workloads: 10, Mitigations: 5, Cells: 50, Scale: 1,
 			Workers: 8, WallSeconds: 12.5, SerialWallSeconds: 80.1, Speedup: 6.4,
 		},
-		Multicore: MulticorePerf{
-			Workload: "blackscholes", Cores: 4, GoMaxProcs: 8, Cycles: 1_500_000,
-			SerialWallSeconds: 2.4, ParallelWallSeconds: 0.9, Speedup: 2.67,
-		},
 		Baseline:          ReferenceBaseline(),
 		SingleCoreSpeedup: 3.52,
 	}
@@ -128,5 +124,41 @@ func TestBenchSimJSONParses(t *testing.T) {
 	}
 	if rep.Baseline.HostNsPerCycle <= 0 {
 		t.Fatalf("missing baseline: %+v", rep.Baseline)
+	}
+}
+
+// TestLoadPerfHistoryCheckedInFile loads the tracked BENCH_sim.json through
+// the history path a -perf regeneration takes. Its v4/v5 entries carry the
+// multicore fields of a leg that is no longer measured (and the file's
+// top-level multicore block is no longer part of PerfReport); both must
+// still load, and the entries must keep their recorded multicore figures.
+func TestLoadPerfHistoryCheckedInFile(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCH_sim.json")
+	if _, err := os.Stat(path); err != nil {
+		t.Skipf("no tracked baseline: %v", err)
+	}
+	hist, err := LoadPerfHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) == 0 {
+		t.Fatal("checked-in history is empty")
+	}
+	multicore := 0
+	for _, e := range hist {
+		if e.MulticoreCores > 0 && e.MulticoreSpeedup > 0 {
+			multicore++
+		}
+	}
+	if multicore == 0 {
+		t.Fatal("no history entry kept its multicore figures")
+	}
+	cur := &PerfReport{Schema: PerfSchema, GeneratedAt: "2026-10-01T00:00:00Z",
+		SingleCore: SingleCorePerf{HostNsPerCycle: 1000, SimMIPS: 1}}
+	if err := cur.AppendHistory(path, "next entry"); err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.History) != len(hist)+1 {
+		t.Fatalf("history length = %d, want %d", len(cur.History), len(hist)+1)
 	}
 }

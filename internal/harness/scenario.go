@@ -21,7 +21,6 @@ func OptionsFromScenario(s *scenario.Scenario) Options {
 		Scale:             s.Run.Scale,
 		MaxCycles:         s.Run.MaxCycles,
 		Workers:           s.Run.Workers,
-		ParallelCores:     s.Run.ParallelCores,
 		NoSkipIdle:        !s.Run.SkipIdle,
 		FastForwardInsts:  s.Run.FastForwardInsts,
 		SampleWindows:     s.Run.SampleWindows,

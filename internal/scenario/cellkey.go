@@ -39,9 +39,9 @@ func (s *Scenario) ResultHash() string {
 	c.Mitigations = nil
 	c.Workloads = nil
 	// Scheduling and failure handling: result-neutral by contract (the
-	// determinism tests pin workers-independence and serial-vs-parallel
-	// core stepping bit-identity; retries only decide whether a success
-	// exists, never what it contains).
+	// determinism tests pin workers-independence; retries only decide
+	// whether a success exists, never what it contains). ParallelCores is
+	// an ignored legacy field.
 	c.Run.Workers = 0
 	c.Run.ParallelCores = 0
 	c.Run.RetryBudgetFactor = 0

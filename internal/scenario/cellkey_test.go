@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -70,6 +71,27 @@ func TestResultHashNormalizesSchedulingKnobs(t *testing.T) {
 	}
 	if a.Hash() == b.Hash() {
 		t.Errorf("identity Hash should still see the knobs")
+	}
+}
+
+// The retired parallel_cores knob stays a documented, ignored field: a
+// document that still sets it must decode strictly and share its
+// ResultHash with the same document without it.
+func TestParallelCoresIgnoredField(t *testing.T) {
+	const base = `{"name": "compat", "run": {"scale": 0.05%s}}`
+	with, err := Parse([]byte(fmt.Sprintf(base, `, "parallel_cores": 4`)), "with", "with")
+	if err != nil {
+		t.Fatalf("document with parallel_cores does not parse: %v", err)
+	}
+	without, err := Parse([]byte(fmt.Sprintf(base, "")), "without", "without")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if with.Run.ParallelCores != 4 {
+		t.Fatalf("parallel_cores decoded as %d, want 4", with.Run.ParallelCores)
+	}
+	if with.ResultHash() != without.ResultHash() {
+		t.Errorf("parallel_cores changed ResultHash: %s vs %s", with.ResultHash(), without.ResultHash())
 	}
 }
 

@@ -45,12 +45,11 @@ type RunOptions struct {
 	// Workers bounds sweep-cell concurrency (0 = GOMAXPROCS, 1 = serial).
 	// Output is byte-identical for every value.
 	Workers int `json:"workers"`
-	// ParallelCores selects intra-machine stepping: 0 = auto (one
-	// goroutine per simulated core when the cell's machine has several
-	// cores and GOMAXPROCS > 1), 1 = force the serial core walk, >= 2 =
-	// force parallel stepping. Results are bit-identical for every value
-	// (the ResultHash normalizes it out); omitempty keeps pre-knob
-	// scenario hashes.
+	// ParallelCores is ignored: machines step their cores serially. It
+	// once selected goroutine-per-core stepping and stays so that existing
+	// documents still decode strictly and keep their content hashes; the
+	// ResultHash normalizes it out, and omitempty keeps documents without
+	// it hashing as before.
 	ParallelCores int `json:"parallel_cores,omitempty"`
 	// SkipIdle enables event-driven idle-cycle skipping
 	// (exactness-preserving).
@@ -211,9 +210,6 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Run.Workers < 0 {
 		return fmt.Errorf("scenario run: workers must be >= 0")
-	}
-	if s.Run.ParallelCores < 0 {
-		return fmt.Errorf("scenario run: parallel_cores must be >= 0")
 	}
 	if s.Run.MaxRetries < 0 || s.Run.MaxRetries > 8 {
 		return fmt.Errorf("scenario run: max_retries must be in [0,8] (got %d)", s.Run.MaxRetries)
