@@ -64,10 +64,6 @@ func main() {
 		"instructions per detailed window for -sample-windows")
 	warmupCycles := flag.Uint64("warmup-cycles", 0,
 		"detailed warmup cycles excluded before each sampled measurement (0 = default 2000)")
-	traceRecord := flag.Bool("trace-record", false,
-		"for -scenario sweeps with -store: record each cell's workload build as a replayable trace if one is not stored yet (the run itself still live-decodes)")
-	traceReplay := flag.Bool("trace-replay", false,
-		"for -scenario sweeps with -store: fetch through recorded traces instead of assembling (bit-identical results; errors on a missing trace unless -trace-record is also set)")
 	storeDir := flag.String("store", "",
 		"result-store directory for -scenario sweeps: verified cached cells are served without simulating, cold cells persist (ignored by -fig/-all/-perf, which are pinned measurements)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0,
@@ -96,8 +92,6 @@ func main() {
 	opt.SampleWindows = *sampleWindows
 	opt.SampleWindowInsts = *sampleWindowInsts
 	opt.WarmupCycles = *warmupCycles
-	opt.TraceRecord = *traceRecord
-	opt.TraceReplay = *traceReplay
 
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
@@ -146,9 +140,6 @@ func main() {
 		if *fig != 0 || *all || *perf {
 			fatal(fmt.Errorf("-scenario is a complete sweep description; combine overrides into the scenario instead of -fig/-all/-perf"))
 		}
-		if (*traceRecord || *traceReplay) && *storeDir == "" {
-			fatal(fmt.Errorf("-trace-record/-trace-replay need -store (traces live in the artifact store)"))
-		}
 		if *storeDir != "" {
 			st, err := store.Open(*storeDir)
 			if err != nil {
@@ -164,7 +155,6 @@ func main() {
 					removed, freed, *storeMaxBytes)
 			}
 			opt.Store = harness.DiskCellStore{S: st}
-			opt.Artifacts = st
 		}
 		explicit := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
@@ -176,12 +166,6 @@ func main() {
 		// the simulator itself; serving any of them from a cache would
 		// defeat the point.
 		fmt.Fprintln(os.Stderr, "specasan-bench: -store only applies to -scenario sweeps; ignored")
-	}
-	if *traceRecord || *traceReplay {
-		// Same pinned-measurement argument as -store: replay is bit-identical
-		// so it would be safe, but the figures stay on the canonical path.
-		fmt.Fprintln(os.Stderr, "specasan-bench: -trace-record/-trace-replay only apply to -scenario sweeps; ignored")
-		opt.TraceRecord, opt.TraceReplay = false, false
 	}
 
 	if *perf {
@@ -236,9 +220,8 @@ func main() {
 
 // runScenario runs the sweep a scenario describes and renders it as a
 // normalized-execution-time table. Explicitly-typed -scale/-workers/
-// -skip-idle/-fast-forward/-sample-windows/
-// -sample-window-insts/-warmup-cycles/-trace-record/-trace-replay flags
-// override the scenario's run options; everything else
+// -skip-idle/-fast-forward/-sample-windows/-sample-window-insts/
+// -warmup-cycles flags override the scenario's run options; everything else
 // (machine, mitigation columns, workload rows) comes from the scenario. The
 // effective hash is printed on stderr and stamped into -metrics-out records.
 func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
@@ -266,12 +249,6 @@ func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
 	}
 	if explicit["warmup-cycles"] {
 		s.Run.WarmupCycles = opt.WarmupCycles
-	}
-	if explicit["trace-record"] {
-		s.Run.TraceRecord = opt.TraceRecord
-	}
-	if explicit["trace-replay"] {
-		s.Run.TraceReplay = opt.TraceReplay
 	}
 	if err := s.Validate(); err != nil {
 		fatal(err)
@@ -329,9 +306,6 @@ func runPerf(path, note string, opt harness.Options) {
 		rep.SampledSweep.Windows, rep.SampledSweep.WindowInsts,
 		rep.SampledSweep.SampledWallSeconds, rep.SampledSweep.FullWallSeconds,
 		rep.SampledSweep.Speedup, rep.SampledSweep.MaxIPCDeltaPct)
-	fmt.Printf("replay:      %.1f ns/inst from trace vs %.1f live decode (%.2fx, %s)\n",
-		rep.Replay.ReplayNsPerInst, rep.Replay.DecodeNsPerInst,
-		rep.Replay.Overhead, rep.Replay.Workload)
 	fmt.Printf("report:      %s\n", path)
 	fmt.Println(notice)
 	if regressed {

@@ -39,10 +39,6 @@ func main() {
 	workers := flag.Int("workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job wall deadline (queued cells cancel when it expires)")
 	cellTimeout := flag.Duration("cell-timeout", 5*time.Minute, "per-cell wall deadline")
-	traceRecord := flag.Bool("trace-record", false,
-		"record each perf cell's workload build as a replayable trace in -store if one is not stored yet (OR-ed with each scenario's run.trace_record)")
-	traceReplay := flag.Bool("trace-replay", false,
-		"fetch perf cells through recorded traces instead of assembling; bit-identical results (OR-ed with each scenario's run.trace_replay)")
 	flag.Parse()
 
 	s, err := serve.New(serve.Config{
@@ -52,8 +48,6 @@ func main() {
 		Workers:       *workers,
 		JobTimeout:    *jobTimeout,
 		CellTimeout:   *cellTimeout,
-		TraceRecord:   *traceRecord,
-		TraceReplay:   *traceReplay,
 		Log:           os.Stderr,
 	})
 	if err != nil {

@@ -60,10 +60,6 @@ func main() {
 		"instructions per detailed window for -sample-windows")
 	warmupCycles := flag.Uint64("warmup-cycles", 0,
 		"detailed warmup cycles excluded before each sampled measurement (0 = default 2000)")
-	traceRecord := flag.Bool("trace-record", false,
-		"record the kernel's build as a replayable trace in -store if one is not stored yet (the run itself still live-decodes unless -trace-replay)")
-	traceReplay := flag.Bool("trace-replay", false,
-		"fetch through the recorded trace in -store instead of assembling (bit-identical results; errors on a missing trace unless -trace-record is also set)")
 	storeDir := flag.String("store", "",
 		"result-store directory: serve this run from the store when a verified entry exists, persist it otherwise (named kernels without trace/pipeview/metrics instrumentation only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0,
@@ -129,17 +125,8 @@ func main() {
 	if overrides("warmup-cycles") {
 		s.Run.WarmupCycles = *warmupCycles
 	}
-	if overrides("trace-record") {
-		s.Run.TraceRecord = *traceRecord
-	}
-	if overrides("trace-replay") {
-		s.Run.TraceReplay = *traceReplay
-	}
 	if err := s.Validate(); err != nil {
 		fatal(err)
-	}
-	if (s.Run.TraceRecord || s.Run.TraceReplay) && *storeDir == "" {
-		fatal(fmt.Errorf("trace record/replay needs -store (traces live in the artifact store)"))
 	}
 	hash := s.Hash()
 	fmt.Fprintf(os.Stderr, "specasan-sim: scenario %s (hash %s)\n", s.Name, hash)
@@ -185,7 +172,7 @@ func main() {
 		if *trace || *traceText || *pipeview > 0 {
 			fatal(fmt.Errorf("-trace/-trace-text/-pipeview need a fully detailed run; drop -fast-forward/-sample-windows"))
 		}
-		if err := runSampled(s, mit, *metricsOut, *storeDir, *storeMaxBytes); err != nil {
+		if err := runSampled(s, mit, *metricsOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -205,14 +192,6 @@ func main() {
 		spec := workloads.ByName(workload)
 		if spec == nil {
 			fatal(fmt.Errorf("unknown benchmark %q (see internal/workloads)", workload))
-		}
-		if s.Run.TraceRecord || s.Run.TraceReplay {
-			// The hand-built instrumented path resolves traces itself: a
-			// trace-backed Build reconstructs the recorded program, so the
-			// machine below fetches exactly the replayed stream.
-			if spec, err = traceSpec(s, spec, mit, *storeDir, *storeMaxBytes); err != nil {
-				fatal(err)
-			}
 		}
 		threads = spec.Threads
 		prog, err = spec.Build(mit.MTEEnabled(), s.Run.Scale)
@@ -292,7 +271,7 @@ func main() {
 // runSampled runs one cell in fast-forward sampling mode through the
 // harness: committed counts and output are exact, cycles are an
 // IPC-extrapolated estimate from the detailed windows.
-func runSampled(s *scenario.Scenario, mit core.Mitigation, metricsOut, storeDir string, storeMaxBytes int64) error {
+func runSampled(s *scenario.Scenario, mit core.Mitigation, metricsOut string) error {
 	workload := s.Workloads[0]
 	var spec *workloads.Spec
 	if path, isFile := strings.CutPrefix(workload, scenario.FileWorkloadPrefix); isFile {
@@ -309,13 +288,6 @@ func runSampled(s *scenario.Scenario, mit core.Mitigation, metricsOut, storeDir 
 	}
 	opt := harness.OptionsFromScenario(s)
 	opt.Log = os.Stderr
-	if s.Run.TraceRecord || s.Run.TraceReplay {
-		st, err := openStore(storeDir, storeMaxBytes)
-		if err != nil {
-			return err
-		}
-		opt.Artifacts = st
-	}
 	var mf *os.File
 	if metricsOut != "" {
 		var err error
@@ -370,7 +342,6 @@ func runStored(s *scenario.Scenario, mit core.Mitigation, dir string, maxBytes i
 	}
 	opt := harness.OptionsFromScenario(s)
 	opt.Store = harness.DiskCellStore{S: st}
-	opt.Artifacts = st
 	r, cached, err := harness.RunCell(spec, mit, opt)
 	if err != nil {
 		return err
@@ -390,7 +361,7 @@ func runStored(s *scenario.Scenario, mit core.Mitigation, dir string, maxBytes i
 	return nil
 }
 
-// openStore opens the result/artifact store and applies -store-max-bytes
+// openStore opens the result store and applies -store-max-bytes
 // pruning, warning on stderr about read-only stores and prune activity.
 func openStore(dir string, maxBytes int64) (*store.Store, error) {
 	st, err := store.Open(dir)
@@ -407,22 +378,6 @@ func openStore(dir string, maxBytes int64) (*store.Store, error) {
 			removed, freed, maxBytes)
 	}
 	return st, nil
-}
-
-// traceSpec applies the scenario's trace knobs to a named-kernel spec for
-// the hand-built machine path: it opens the artifact store and records or
-// replays through harness.ResolveTrace, returning a trace-backed copy of
-// the spec when replaying.
-func traceSpec(s *scenario.Scenario, spec *workloads.Spec, mit core.Mitigation, dir string, maxBytes int64) (*workloads.Spec, error) {
-	st, err := openStore(dir, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	opt := harness.OptionsFromScenario(s)
-	opt.Artifacts = st
-	opt.Verbose = true
-	opt.Log = os.Stderr
-	return harness.ResolveTrace(spec, mit, opt)
 }
 
 func printConfig() {

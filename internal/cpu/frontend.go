@@ -8,10 +8,10 @@ import (
 
 // Frontend is the instruction-stream source a machine executes: the fetch
 // stage pulls decoded instructions from it, and machine construction asks it
-// to initialise the static memory image (data blocks, tag seeds). It
-// abstracts where the stream comes from — a freshly assembled program
-// (AssembledFrontend), or a recorded trace replayed from the content-
-// addressed store (internal/trace.TraceFrontend).
+// to initialise the static memory image (data blocks, tag seeds). The one
+// implementation is an assembled program (AssembledFrontend); the seam
+// stays because the repository benchmark (perfbench/) recomposes cells
+// through it.
 //
 // The contract mirrors *asm.Program exactly so the live-decode path stays
 // bit-identical: InstAt returns nil for non-code addresses (the fetch stage
@@ -19,11 +19,10 @@ import (
 // run to the end of the enclosing code region, and EntryPC is where core 0
 // starts. Implementations must be safe for concurrent readers: sweep cells
 // running on separate goroutines may share one frontend. Returned *isa.Inst
-// values are aliases into the
-// frontend's storage and must not be mutated.
+// values are aliases into the frontend's storage and must not be mutated.
 //
 // internal/golden declares a structurally identical Source interface; any
-// concrete frontend satisfies both, so one artifact can drive the
+// concrete frontend satisfies both, so one program drives the
 // cycle-accurate machine and the functional interpreter alike.
 type Frontend interface {
 	// EntryPC is the architectural start address.

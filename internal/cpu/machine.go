@@ -101,16 +101,9 @@ type Machine struct {
 // runs all cores share the program (SPMD) and the memory image; per-core
 // behaviour is steered through registers set with Core.SetReg.
 func NewMachine(cfg core.Config, mit core.Mitigation, prog *asm.Program) (*Machine, error) {
-	return NewMachineFrontend(cfg, mit, AssembledFrontend{Prog: prog})
-}
-
-// NewMachineFrontend builds a machine fetching from an arbitrary instruction
-// source — the seam behind NewMachine. All cores share the frontend (SPMD)
-// and the memory image it initialises.
-func NewMachineFrontend(cfg core.Config, mit core.Mitigation, fe Frontend) (*Machine, error) {
 	img := mem.NewImage()
-	fe.InitImage(img)
-	return newMachineOn(cfg, mit, fe, img)
+	img.LoadProgram(prog)
+	return newMachineOn(cfg, mit, AssembledFrontend{Prog: prog}, img)
 }
 
 // newMachineOn builds a machine over a caller-supplied memory image (already
@@ -286,8 +279,8 @@ func (m *Machine) run(maxCycles uint64, stop func() bool) *RunResult {
 	m.skipLimit = maxCycles
 	// The watchdog scans after each Step that ends on a multiple of
 	// CheckEvery — the cycles Watchdog.Check accepts — without a modulo per
-	// cycle. A Step whose tick lands on a multiple and then skips idle
-	// cycles ends past it, off a multiple, and does not scan.
+	// cycle. Idle skipping never carries a Step past a multiple (skipIdle
+	// neither crosses one nor leaves one it just ticked), so no scan is lost.
 	wd := m.Watchdog
 	nextScan := noEvent
 	if wd != nil && wd.CheckEvery > 0 {

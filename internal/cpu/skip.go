@@ -224,8 +224,12 @@ func (m *Machine) skipIdle() {
 		return // machine is done; Run exits at the current cycle
 	}
 	// Never skip across a watchdog boundary: the boundary cycle is always
-	// ticked (this also bounds the jump when no core reports an event).
+	// ticked (this also bounds the jump when no core reports an event), and
+	// a Step that ticks one ends on it, so Run's scan sees it.
 	if m.Watchdog != nil && m.Watchdog.CheckEvery > 0 {
+		if now%m.Watchdog.CheckEvery == 0 {
+			return
+		}
 		if b := m.Watchdog.nextScan(now); b < target {
 			target = b
 		}

@@ -2,20 +2,13 @@ package golden
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"specasan/internal/asm"
 	"specasan/internal/isa"
-)
-
-// Lockstep and MixedChunks re-export the helpers below for the external
-// golden_test package: the workload-kernel lockstep test lives there because
-// workloads now imports trace, which imports golden — a cycle only an
-// external test package may close.
-var (
-	Lockstep    = lockstep
-	MixedChunks = mixedChunks
+	"specasan/internal/workloads"
 )
 
 // lockstep drives the block-cached engine and the naive reference engine
@@ -217,6 +210,25 @@ func TestBlockCacheMatchesNaiveBadPC(t *testing.T) {
 	prog := asm.MustAssemble(src)
 	lockstep(t, prog, false, 0, []uint64{1 << 62})
 	lockstep(t, prog, false, 0, []uint64{1, 1, 1, 1})
+}
+
+func TestBlockCacheMatchesNaiveWorkloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, name := range []string{"505.mcf_r", "508.namd_r", "520.omnetpp_r", "531.deepsjeng_r"} {
+		spec := workloads.ByName(name)
+		if spec == nil {
+			t.Fatalf("unknown workload %s", name)
+		}
+		for _, tagged := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/mte=%v", name, tagged), func(t *testing.T) {
+				prog, err := spec.Build(tagged, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lockstep(t, prog, tagged, 0x5eca5a, mixedChunks(rng, 30))
+			})
+		}
+	}
 }
 
 func TestCmpFlagsMatch(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // instructions from it, and construction asks it to initialise the static
 // memory image. It is structurally identical to internal/cpu's Frontend
 // interface (this package cannot import cpu — cpu's transplant seam imports
-// golden), so any concrete frontend — a freshly assembled program, a replayed
-// trace — drives the interpreter and the cycle-accurate machine alike.
+// golden), so a cpu.Frontend drives the interpreter and the cycle-accurate
+// machine alike.
 //
 // Returned *isa.Inst values are aliases into the source's storage and must
 // not be mutated; InstsFrom must return the same subslices a Program would,

@@ -30,20 +30,6 @@ func NewTouchRing(n int) *TouchRing {
 	return &TouchRing{buf: make([]uint64, n)}
 }
 
-// Add records one touch explicitly — the rebuild path for rings
-// deserialised from a recorded trace. The address is aligned down to 4
-// bytes exactly as the interpreter's own recording does.
-func (t *TouchRing) Add(addr uint64, write, ifetch bool) {
-	v := addr &^ 3
-	if write {
-		v |= touchWrite
-	}
-	if ifetch {
-		v |= touchIfetch
-	}
-	t.add(v)
-}
-
 // add records one encoded touch (aligned address | flag bits).
 func (t *TouchRing) add(v uint64) {
 	t.buf[t.pos] = v

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"specasan/internal/asm"
 	"specasan/internal/attacks"
 	"specasan/internal/core"
 	"specasan/internal/cpu"
@@ -19,7 +20,6 @@ import (
 	"specasan/internal/obs"
 	"specasan/internal/par"
 	"specasan/internal/stats"
-	"specasan/internal/store"
 	"specasan/internal/workloads"
 )
 
@@ -77,23 +77,6 @@ type Options struct {
 	// (scenario.ResultHash). Empty disables the cache even when Store is
 	// set — results without a scenario identity are not addressable.
 	ResultHash string
-
-	// TraceRecord, when set together with Artifacts, records each cell's
-	// workload build as a replayable trace (internal/trace) the first time
-	// that build identity runs — record-once, a pure side effect: the cell
-	// itself still live-decodes unless TraceReplay is also set, and results
-	// are unchanged either way.
-	TraceRecord bool
-	// TraceReplay, when set together with Artifacts, runs each cell through
-	// the recorded trace's frontend instead of live-decoding the assembled
-	// program. Replay is bit-identical to live decode (pinned by test). A
-	// missing recording is an error unless TraceRecord is also set, which
-	// records on miss and then replays.
-	TraceReplay bool
-	// Artifacts is the content-addressed store trace artifacts live in — a
-	// raw *store.Store, distinct from the Store cell cache seam (though both
-	// may share one on-disk root). Required by TraceRecord/TraceReplay.
-	Artifacts *store.Store
 
 	// FastForwardInsts, when > 0, runs the first N instructions of every
 	// single-core cell on the functional golden interpreter, transplants the
@@ -195,16 +178,22 @@ type PerfResult struct {
 	Note string
 }
 
+// buildSpec assembles the cell's program: the tagged build under MTE-based
+// mitigations. Errors carry the spec name.
+func buildSpec(spec *workloads.Spec, mit core.Mitigation, opt Options) (*asm.Program, error) {
+	prog, err := spec.Build(mit.MTEEnabled(), opt.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", spec.Name, err)
+	}
+	return prog, nil
+}
+
 // RunBenchmark executes one kernel under one mitigation and returns its
 // timing. MTE-based mitigations run the tagged build. With sampling options
 // set (Options.Sampling) single-core cells run in fast-forward sampled mode;
 // multi-threaded cells and programs too short to sample fall back to the
 // full detailed run below.
 func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*PerfResult, error) {
-	spec, err := ResolveTrace(spec, mit, opt)
-	if err != nil {
-		return nil, err
-	}
 	if opt.Sampling() {
 		if spec.Threads == 1 {
 			r, err := runSampled(spec, mit, opt)
@@ -217,16 +206,13 @@ func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*Perf
 				spec.Name, mit, spec.Threads)
 		}
 	}
-	fe, err := specFrontend(spec, mit, opt)
+	prog, err := buildSpec(spec, mit, opt)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
-	if opt.Config != nil {
-		cfg = *opt.Config
-	}
+	cfg := opt.config()
 	cfg.Cores = spec.Threads
-	m, err := cpu.NewMachineFrontend(cfg, mit, fe)
+	m, err := cpu.NewMachine(cfg, mit, prog)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"specasan/internal/golden"
 	"specasan/internal/isa"
 	"specasan/internal/par"
-	"specasan/internal/trace"
 	"specasan/internal/workloads"
 )
 
@@ -27,14 +26,12 @@ import (
 // PARSEC machine stepped serially vs one goroutine per simulated core)
 // and unpins the sweep leg's worker count: it now comes from the caller
 // (-sweep-workers; 0 still means GOMAXPROCS) and the resolved value is
-// recorded instead of silently imposed. v5 adds the trace-replay block:
-// the same single-core cell run start to finish fetching from the
-// live-assembled program and from a recorded trace, so the report records
-// what replay costs (or saves) per simulated instruction. The multicore
-// block is no longer measured (machines step their cores serially, so
-// there is no second stepping mode to compare): v5 reports written since
-// omit it, and older files that carry it still load — the block is
-// ignored and their history entries keep its fields.
+// recorded instead of silently imposed. v5 added a replay block (one
+// single-core cell fetched from a recorded trace vs the assembled program).
+// Neither the multicore nor the replay block is measured any more: machines
+// step their cores serially, and trace replay is gone. v5 reports written
+// since omit both, and older files that carry them still load — the blocks
+// are ignored and their history entries keep their fields.
 const (
 	PerfSchema   = "specasan-bench/perf/v5"
 	perfSchemaV4 = "specasan-bench/perf/v4"
@@ -107,21 +104,6 @@ type SampledSweepPerf struct {
 	MaxIPCDeltaPct     float64 `json:"max_ipc_delta_pct"`
 }
 
-// ReplayPerf is the trace-replay measurement: the single-core recipe run
-// start to finish fetching from the live-assembled program and from a
-// recorded trace of the same build. Both machines are bit-identical by the
-// replay determinism tests; this block records only what the trace
-// frontend's sorted-block fetch path costs per simulated instruction
-// relative to the assembled program's (Overhead 1.0 = free replay).
-type ReplayPerf struct {
-	Workload        string  `json:"workload"`
-	RecordedInsts   uint64  `json:"recorded_insts"`
-	Committed       uint64  `json:"committed_instructions"`
-	DecodeNsPerInst float64 `json:"decode_ns_per_inst"`
-	ReplayNsPerInst float64 `json:"replay_ns_per_inst"`
-	Overhead        float64 `json:"replay_overhead_vs_decode"`
-}
-
 // SweepPerf is the harness-level measurement: wall time of one normalized-
 // execution-time sweep on the worker pool, against the serial path on the
 // same host and inputs.
@@ -160,8 +142,8 @@ type PerfHistoryEntry struct {
 	// no longer measured; past entries keep them.
 	MulticoreCores   int     `json:"multicore_cores,omitempty"`
 	MulticoreSpeedup float64 `json:"multicore_speedup_vs_serial,omitempty"`
-	// ReplayOverhead arrives with the v5 schema: trace-replay ns/inst over
-	// live-decode ns/inst for the same cell (1.0 = free replay).
+	// ReplayOverhead arrives with the v5 schema (ns/inst replaying a trace over
+	// live-decode ns/inst) and is no longer measured; past entries keep it.
 	ReplayOverhead float64 `json:"replay_overhead_vs_decode,omitempty"`
 }
 
@@ -176,7 +158,6 @@ type PerfReport struct {
 	Golden            GoldenPerf       `json:"golden"`
 	Sweep             SweepPerf        `json:"sweep"`
 	SampledSweep      SampledSweepPerf `json:"sampled_sweep"`
-	Replay            ReplayPerf       `json:"replay"`
 	Baseline          PerfBaseline     `json:"baseline"`
 	SingleCoreSpeedup float64          `json:"single_core_speedup_vs_baseline"`
 	// History holds every measurement ever recorded, oldest first, ending
@@ -198,7 +179,6 @@ func (r *PerfReport) HistoryEntry(description string) PerfHistoryEntry {
 
 		GoldenMIPS:          r.Golden.SimMIPS,
 		SampledSweepSpeedup: r.SampledSweep.Speedup,
-		ReplayOverhead:      r.Replay.Overhead,
 	}
 }
 
@@ -428,77 +408,6 @@ func MeasureSampledSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Op
 	return sp, nil
 }
 
-// perfRunMaxCycles bounds the replay leg's whole-machine runs so a wedged
-// build cannot hang the measurement.
-const perfRunMaxCycles = 100_000_000
-
-// MeasureReplay records the single-core recipe as a trace and runs the cell
-// to completion twice — fetching from the live-assembled program, then from
-// the recorded trace's frontend — and reports ns per committed instruction
-// for both legs. A decode-leg machine is built fresh for the replay leg's
-// comparison too, so the two legs differ only in the Frontend behind the
-// fetch stage.
-func MeasureReplay() (ReplayPerf, error) {
-	spec := workloads.ByName(perfWorkloadName)
-	if spec == nil {
-		return ReplayPerf{}, fmt.Errorf("workload %s missing", perfWorkloadName)
-	}
-	tr, err := spec.RecordTrace(false, perfWorkloadScale, trace.RecordConfig{TagSeed: cpu.TagSeedBase})
-	if err != nil {
-		return ReplayPerf{}, err
-	}
-	run := func(mk func() (cpu.Frontend, error)) (float64, uint64, error) {
-		fe, err := mk()
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Cores = spec.Threads
-		m, err := cpu.NewMachineFrontend(cfg, core.Unsafe, fe)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < spec.Threads; i++ {
-			m.Core(i).SetReg(isa.X0, uint64(i))
-		}
-		start := time.Now()
-		res := m.Run(perfRunMaxCycles)
-		wall := time.Since(start)
-		if res.Err != nil {
-			return 0, 0, fmt.Errorf("%s replay leg: %v", perfWorkloadName, res.Err)
-		}
-		if res.TimedOut || res.Committed == 0 {
-			return 0, 0, fmt.Errorf("%s replay leg: timed out at %d cycles", perfWorkloadName, res.Cycles)
-		}
-		return float64(wall.Nanoseconds()) / float64(res.Committed), res.Committed, nil
-	}
-	decodeNs, committed, err := run(func() (cpu.Frontend, error) {
-		prog, err := spec.Build(false, perfWorkloadScale)
-		if err != nil {
-			return nil, err
-		}
-		return cpu.AssembledFrontend{Prog: prog}, nil
-	})
-	if err != nil {
-		return ReplayPerf{}, err
-	}
-	replayNs, _, err := run(func() (cpu.Frontend, error) { return tr.Frontend() })
-	if err != nil {
-		return ReplayPerf{}, err
-	}
-	rp := ReplayPerf{
-		Workload:        perfWorkloadName,
-		RecordedInsts:   tr.Meta.Insts,
-		Committed:       committed,
-		DecodeNsPerInst: decodeNs,
-		ReplayNsPerInst: replayNs,
-	}
-	if decodeNs > 0 {
-		rp.Overhead = replayNs / decodeNs
-	}
-	return rp, nil
-}
-
 // MeasureSweep times one Figure 6-style sweep twice — serial, then on the
 // worker pool — and reports both wall times. Logging is disabled for the
 // measurement; the determinism tests cover output equivalence separately.
@@ -537,8 +446,8 @@ func MeasureSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) 
 
 // MeasurePerf produces the full report: single-core steady state, golden
 // interpreter throughput, the serial-vs-parallel sweep comparison, the
-// sampled-vs-full sweep comparison, and trace-replay overhead. The sweep legs run at opt.Workers (0 = GOMAXPROCS, the
-// historical pin) and the resolved pool size is recorded in the report —
+// sampled-vs-full sweep comparison. The sweep legs run at opt.Workers
+// (0 = GOMAXPROCS, the historical pin) and the resolved pool size is recorded in the report —
 // the -sweep-workers flag reaches here, it is no longer silently
 // overridden. Warmup for the single-core leg comes from opt's WarmupCycles
 // knob (DefaultWarmupCycles when unset).
@@ -552,10 +461,6 @@ func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, 
 		return nil, err
 	}
 	sweep, err := MeasureSweep(specs, mits, opt)
-	if err != nil {
-		return nil, err
-	}
-	replay, err := MeasureReplay()
 	if err != nil {
 		return nil, err
 	}
@@ -583,7 +488,6 @@ func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, 
 		Golden:       gold,
 		Sweep:        sweep,
 		SampledSweep: sampled,
-		Replay:       replay,
 		Baseline:     base,
 	}
 	if single.HostNsPerCycle > 0 {

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 
+	"specasan/internal/asm"
 	"specasan/internal/core"
 	"specasan/internal/cpu"
 	"specasan/internal/golden"
@@ -60,11 +61,9 @@ func (o *Options) config() core.Config {
 }
 
 // newGolden builds a golden interpreter matching the detailed machine's
-// committed semantics (same MTE mode, same IRG tag seed). The frontend seam
-// means it fetches from whatever source the detailed machine would — a fresh
-// assembly or a replayed trace (cpu.Frontend satisfies golden.Source).
-func newGolden(fe cpu.Frontend, mit core.Mitigation) *golden.Interp {
-	ip := golden.NewFrom(fe)
+// committed semantics (same MTE mode, same IRG tag seed).
+func newGolden(prog *asm.Program, mit core.Mitigation) *golden.Interp {
+	ip := golden.New(prog)
 	ip.MTEOn = mit.MTEEnabled()
 	ip.TagSeed = cpu.TagSeedBase
 	return ip
@@ -72,23 +71,23 @@ func newGolden(fe cpu.Frontend, mit core.Mitigation) *golden.Interp {
 
 // runSampled dispatches a single-core cell to the selected sampling mode.
 func runSampled(spec *workloads.Spec, mit core.Mitigation, opt Options) (*PerfResult, error) {
-	fe, err := specFrontend(spec, mit, opt)
+	prog, err := buildSpec(spec, mit, opt)
 	if err != nil {
 		return nil, err
 	}
 	if opt.SampleWindows > 1 {
-		return runSampledWindows(spec, mit, opt, fe)
+		return runSampledWindows(spec, mit, opt, prog)
 	}
-	return runSampledTail(spec, mit, opt, fe)
+	return runSampledTail(spec, mit, opt, prog)
 }
 
 // newSampledMachine transplants a golden snapshot into a fresh single-core
 // detailed machine and applies the run options' instrumentation hooks.
 func newSampledMachine(spec *workloads.Spec, mit core.Mitigation, opt Options,
-	fe cpu.Frontend, st *golden.State, met *obs.Metrics) (*cpu.Machine, error) {
+	prog *asm.Program, st *golden.State, met *obs.Metrics) (*cpu.Machine, error) {
 	cfg := opt.config()
 	cfg.Cores = 1
-	m, err := cpu.NewMachineAtFrontend(cfg, mit, fe, st)
+	m, err := cpu.NewMachineAt(cfg, mit, prog, st)
 	if err != nil {
 		return nil, err
 	}
@@ -160,9 +159,9 @@ func emitSampled(spec *workloads.Spec, mit core.Mitigation, opt Options,
 // runSampledTail is tail mode: functional prefix, one transplant, detailed
 // remainder.
 func runSampledTail(spec *workloads.Spec, mit core.Mitigation, opt Options,
-	fe cpu.Frontend) (*PerfResult, error) {
+	prog *asm.Program) (*PerfResult, error) {
 	ff := opt.FastForwardInsts
-	ip := newGolden(fe, mit)
+	ip := newGolden(prog, mit)
 	ip.Touch = golden.NewTouchRing(warmTouches)
 	gres := ip.Run(ff)
 	switch gres.Reason {
@@ -177,7 +176,7 @@ func runSampledTail(spec *workloads.Spec, mit core.Mitigation, opt Options,
 	if opt.Metrics != nil {
 		met = obs.NewMetrics(1)
 	}
-	m, err := newSampledMachine(spec, mit, opt, fe, ip.Snapshot(), met)
+	m, err := newSampledMachine(spec, mit, opt, prog, ip.Snapshot(), met)
 	if err != nil {
 		return nil, err
 	}
@@ -241,12 +240,12 @@ func runSampledTail(spec *workloads.Spec, mit core.Mitigation, opt Options,
 // runSampledWindows is windowed mode: a full functional walk for the exact
 // totals, then K evenly-spaced detailed windows pooled into one IPC estimate.
 func runSampledWindows(spec *workloads.Spec, mit core.Mitigation, opt Options,
-	fe cpu.Frontend) (*PerfResult, error) {
+	prog *asm.Program) (*PerfResult, error) {
 	k := opt.SampleWindows
 	winInsts := opt.SampleWindowInsts
 
 	// Pass 1: total instruction count and exact output.
-	walk := newGolden(fe, mit)
+	walk := newGolden(prog, mit)
 	fres := walk.Run(functionalBudget(opt.MaxCycles))
 	switch fres.Reason {
 	case golden.StopExit:
@@ -279,7 +278,7 @@ func runSampledWindows(spec *workloads.Spec, mit core.Mitigation, opt Options,
 	// Pass 2: one progressive functional walk; transplant at each start. The
 	// walk's touch ring warms each window's caches with the working set live
 	// at that window's start.
-	ip := newGolden(fe, mit)
+	ip := newGolden(prog, mit)
 	ip.Touch = golden.NewTouchRing(warmTouches)
 	var cur uint64
 	pool := stats.NewSet("machine")
@@ -296,7 +295,7 @@ func runSampledWindows(spec *workloads.Spec, mit core.Mitigation, opt Options,
 			}
 			cur = s
 		}
-		m, err := newSampledMachine(spec, mit, opt, fe, ip.Snapshot(), met)
+		m, err := newSampledMachine(spec, mit, opt, prog, ip.Snapshot(), met)
 		if err != nil {
 			return nil, err
 		}

@@ -26,8 +26,6 @@ func OptionsFromScenario(s *scenario.Scenario) Options {
 		SampleWindows:     s.Run.SampleWindows,
 		SampleWindowInsts: s.Run.SampleWindowInsts,
 		WarmupCycles:      s.Run.WarmupCycles,
-		TraceRecord:       s.Run.TraceRecord,
-		TraceReplay:       s.Run.TraceReplay,
 		Config:            &cfg,
 		ScenarioHash:      s.Hash(),
 		ResultHash:        s.ResultHash(),
@@ -58,6 +56,5 @@ func RunScenarioSweep(s *scenario.Scenario, opt Options) (*Sweep, error) {
 	so := OptionsFromScenario(s)
 	so.Verbose, so.Log, so.Metrics, so.Attach = opt.Verbose, opt.Log, opt.Metrics, opt.Attach
 	so.Store = opt.Store // cache keying (ResultHash) comes from the scenario
-	so.Artifacts = opt.Artifacts
 	return RunSweep(specs, mits, so)
 }

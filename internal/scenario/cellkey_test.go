@@ -74,24 +74,36 @@ func TestResultHashNormalizesSchedulingKnobs(t *testing.T) {
 	}
 }
 
-// The retired parallel_cores knob stays a documented, ignored field: a
-// document that still sets it must decode strictly and share its
-// ResultHash with the same document without it.
+// The retired run knobs (parallel_cores, trace_record, trace_replay) stay
+// documented, ignored fields: a document that still sets one must decode
+// strictly and share its ResultHash with the same document without it.
 func TestParallelCoresIgnoredField(t *testing.T) {
 	const base = `{"name": "compat", "run": {"scale": 0.05%s}}`
-	with, err := Parse([]byte(fmt.Sprintf(base, `, "parallel_cores": 4`)), "with", "with")
-	if err != nil {
-		t.Fatalf("document with parallel_cores does not parse: %v", err)
-	}
 	without, err := Parse([]byte(fmt.Sprintf(base, "")), "without", "without")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if with.Run.ParallelCores != 4 {
-		t.Fatalf("parallel_cores decoded as %d, want 4", with.Run.ParallelCores)
-	}
-	if with.ResultHash() != without.ResultHash() {
-		t.Errorf("parallel_cores changed ResultHash: %s vs %s", with.ResultHash(), without.ResultHash())
+	for _, tc := range []struct {
+		field, value string
+		decoded      func(*Scenario) bool
+	}{
+		{"parallel_cores", "4", func(s *Scenario) bool { return s.Run.ParallelCores == 4 }},
+		{"trace_record", "true", func(s *Scenario) bool { return s.Run.TraceRecord }},
+		{"trace_replay", "true", func(s *Scenario) bool { return s.Run.TraceReplay }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			doc := fmt.Sprintf(base, fmt.Sprintf(`, %q: %s`, tc.field, tc.value))
+			with, err := Parse([]byte(doc), "with", "with")
+			if err != nil {
+				t.Fatalf("document with %s does not parse: %v", tc.field, err)
+			}
+			if !tc.decoded(with) {
+				t.Fatalf("%s: %s did not decode", tc.field, tc.value)
+			}
+			if with.ResultHash() != without.ResultHash() {
+				t.Errorf("%s changed ResultHash: %s vs %s", tc.field, with.ResultHash(), without.ResultHash())
+			}
+		})
 	}
 }
 

@@ -88,21 +88,13 @@ type RunOptions struct {
 	// the harness default (2000).
 	WarmupCycles uint64 `json:"warmup_cycles,omitempty"`
 
-	// The trace knobs below select recorded-workload replay (internal/trace):
-	// a workload build's instruction stream is recorded once as a
-	// content-addressed artifact and later runs fetch from the recording
-	// instead of regenerating and reassembling source. Replay is
-	// bit-identical to live decode (pinned by test) and recording is a pure
-	// side effect, so both knobs are normalized out of the ResultHash —
-	// replayed and live cells share cached results. omitempty keeps
-	// pre-trace scenario hashes.
-
-	// TraceRecord records each workload build the first time its identity
-	// runs (record-once; an existing recording is never overwritten).
+	// TraceRecord and TraceReplay are ignored: every run builds its
+	// program from the workload registry. They once recorded workload
+	// builds as instruction traces and replayed them, and stay (like
+	// ParallelCores) so that existing documents still decode strictly and
+	// keep their content hashes; the ResultHash normalizes them out, and
+	// omitempty keeps documents without them hashing as before.
 	TraceRecord bool `json:"trace_record,omitempty"`
-	// TraceReplay runs each cell through the recorded trace's frontend. A
-	// missing recording fails the cell unless TraceRecord is also set, which
-	// records on miss and then replays.
 	TraceReplay bool `json:"trace_replay,omitempty"`
 }
 
@@ -229,9 +221,6 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Run.Sampling() && s.Chaos != nil {
 		return fmt.Errorf("scenario run: sampling is incompatible with a chaos section (the injector must observe every cycle)")
-	}
-	if (s.Run.TraceRecord || s.Run.TraceReplay) && s.Chaos != nil {
-		return fmt.Errorf("scenario run: trace record/replay is incompatible with a chaos section (campaigns drive the injector directly)")
 	}
 	if f := s.Fuzz; f != nil {
 		if f.Candidates < 0 {

@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"specasan/internal/asm"
-	"specasan/internal/trace"
 )
 
 // Params shapes one synthetic kernel.
@@ -77,66 +76,6 @@ type Spec struct {
 	// harness error-path tests use it to plant kernels that time out or
 	// fault on demand.
 	Source string
-	// Trace, when non-nil, backs the spec with a recorded instruction
-	// stream: Build reconstructs the recorded program — after checking the
-	// trace's identity against the requested build — instead of generating
-	// and assembling source, and the harness fetches through the trace's
-	// replay frontend. Attach one with WithTrace, never by mutating a
-	// registry spec (ByName results are shared across sweep cells).
-	Trace *trace.Trace
-}
-
-// WithTrace returns a copy of the spec backed by the trace (see Spec.Trace).
-func (s *Spec) WithTrace(t *trace.Trace) *Spec {
-	c := *s
-	c.Trace = t
-	return &c
-}
-
-// TraceIdentity labels the build that Build(tagged, scale) produces for this
-// spec — the identity a recording of it carries and a replay must match.
-func (s *Spec) TraceIdentity(tagged bool, scale float64) trace.Identity {
-	return trace.Identity{Workload: s.Name, Threads: s.Threads, Tagged: tagged, Scale: scale}
-}
-
-// CheckTrace verifies that the attached trace replays the build the caller
-// is about to run. A mismatch means the spec was wired to a recording of a
-// different workload, thread count, MTE mode, or scale — replaying it would
-// silently simulate the wrong program.
-func (s *Spec) CheckTrace(tagged bool, scale float64) error {
-	if s.Trace == nil {
-		return fmt.Errorf("%s: no trace attached", s.Name)
-	}
-	got, want := s.Trace.Meta.Identity, s.TraceIdentity(tagged, scale)
-	if !got.Same(want) {
-		return fmt.Errorf("%s: trace identity mismatch: recorded %s (threads=%d tagged=%v scale=%g), building %s (threads=%d tagged=%v scale=%g)",
-			s.Name, got.Workload, got.Threads, got.Tagged, got.Scale,
-			want.Workload, want.Threads, want.Tagged, want.Scale)
-	}
-	return nil
-}
-
-// RecordTrace generates and assembles the spec's kernel, runs it once on the
-// golden interpreter, and returns the recorded trace, labelled with the
-// build identity plus the source text's hash. Source-override specs are
-// rejected: their program text lives outside the registry, so an identity
-// key could alias two different programs (the same reason RunCell refuses to
-// cache them).
-func (s *Spec) RecordTrace(tagged bool, scale float64, cfg trace.RecordConfig) (*trace.Trace, error) {
-	if s.Source != "" {
-		return nil, fmt.Errorf("%s: cannot record a trace for a source-override spec", s.Name)
-	}
-	if s.Trace != nil {
-		return nil, fmt.Errorf("%s: spec is already trace-backed", s.Name)
-	}
-	src := Generate(s.scaled(scale), s.Threads, tagged)
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", s.Name, err)
-	}
-	id := s.TraceIdentity(tagged, scale)
-	id.SourceSHA = trace.SHA256Hex([]byte(src))
-	return trace.Record(prog, id, cfg)
 }
 
 // scaleIters lets the harness shrink or grow every kernel uniformly.
@@ -326,12 +265,6 @@ const heapBase = 0x200000
 // Build assembles the kernel. tagged selects MTE instrumentation; scale
 // multiplies the iteration count (1.0 = default).
 func (s *Spec) Build(tagged bool, scale float64) (*asm.Program, error) {
-	if s.Trace != nil {
-		if err := s.CheckTrace(tagged, scale); err != nil {
-			return nil, err
-		}
-		return s.Trace.Program(), nil
-	}
 	if s.Source != "" {
 		return asm.Assemble(s.Source)
 	}
