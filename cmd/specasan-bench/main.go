@@ -10,9 +10,8 @@
 //
 // Sweeps run their cells on a bounded worker pool (-workers, default
 // GOMAXPROCS); output is byte-identical to -workers=1. The -perf sweep legs
-// take their pool size from
-// -sweep-workers, recorded in the report. -cpuprofile and -memprofile
-// capture stdlib pprof profiles of the run.
+// use the same pool size and record it in the report. -cpuprofile and
+// -memprofile capture stdlib pprof profiles of the run.
 package main
 
 import (
@@ -37,33 +36,32 @@ import (
 // in about a second.
 const perfSteps = 500_000
 
-func main() {
-	scen := flag.String("scenario", "",
+// bindKnobs registers -scenario and specasan-bench's run knobs on fs.
+// Without -scenario every knob applies over the default (table2) run
+// options, which -fig/-all/-perf take as their harness options.
+func bindKnobs(fs *flag.FlagSet) *scenario.Flags {
+	k := scenario.NewFlags(fs, scenario.PresetTable2,
 		"run the sweep a scenario describes (preset name or file); incompatible with -fig/-all/-perf")
+	k.Float64("scale", 1.0, "kernel iteration scale", func(s *scenario.Scenario, v float64) { s.Run.Scale = v })
+	k.Int("workers", 0, "sweep worker pool size, -perf sweep legs included (0 = GOMAXPROCS, 1 = serial)",
+		func(s *scenario.Scenario, v int) { s.Run.Workers = v })
+	k.DetailFlags()
+	return k
+}
+
+func main() {
+	knobs := bindKnobs(flag.CommandLine)
 	fig := flag.Int("fig", 0, "figure to regenerate (1, 6, 7, 8, 9)")
 	all := flag.Bool("all", false, "regenerate every figure")
 	perf := flag.Bool("perf", false, "measure simulator performance and write a BENCH_sim.json report")
 	perfOut := flag.String("perf-out", "BENCH_sim.json", "where -perf writes its report")
 	perfNote := flag.String("perf-note", "",
 		"override the -perf history entry's description (default: a summary of the active fast paths)")
-	scale := flag.Float64("scale", 1.0, "kernel iteration scale")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	sweepWorkers := flag.Int("sweep-workers", 0,
-		"worker pool size for the -perf sweep legs (0 = GOMAXPROCS); the resolved value is recorded in the report")
 	traceCell := flag.String("trace", "", "record a Chrome trace of one sweep cell, named benchmark/mitigation (e.g. 505.mcf_r/SpecASan)")
 	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace-event JSON")
 	metricsOut := flag.String("metrics-out", "", "write per-cell metrics records (JSONL, cell order) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	skipIdle := flag.Bool("skip-idle", true, "event-driven idle-cycle skipping (exactness-preserving; off walks every cycle)")
-	fastForward := flag.Uint64("fast-forward", 0,
-		"fast-forward this many instructions functionally before detailed simulation (0 = fully detailed; committed counts and output stay exact, cycles become an estimate)")
-	sampleWindows := flag.Int("sample-windows", 0,
-		"simulate this many evenly-spaced detailed windows and extrapolate cycles from their pooled IPC (requires -sample-window-insts; <=1 = tail mode / off)")
-	sampleWindowInsts := flag.Uint64("sample-window-insts", 0,
-		"instructions per detailed window for -sample-windows")
-	warmupCycles := flag.Uint64("warmup-cycles", 0,
-		"detailed warmup cycles excluded before each sampled measurement (0 = default 2000)")
 	storeDir := flag.String("store", "",
 		"result-store directory for -scenario sweeps: verified cached cells are served without simulating, cold cells persist (ignored by -fig/-all/-perf, which are pinned measurements)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0,
@@ -82,16 +80,11 @@ func main() {
 		}
 	}()
 
-	opt := harness.DefaultOptions()
-	opt.Scale = *scale
-	opt.Verbose = *verbose
-	opt.Log = os.Stderr
-	opt.Workers = *workers
-	opt.NoSkipIdle = !*skipIdle
-	opt.FastForwardInsts = *fastForward
-	opt.SampleWindows = *sampleWindows
-	opt.SampleWindowInsts = *sampleWindowInsts
-	opt.WarmupCycles = *warmupCycles
+	s, err := knobs.Resolve()
+	if err != nil {
+		fatal(err)
+	}
+	opt := harness.Options{RunOptions: s.Run, Verbose: *verbose, Log: os.Stderr}
 
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
@@ -136,29 +129,18 @@ func main() {
 		}()
 	}
 
-	if *scen != "" {
+	if knobs.Scenario() != "" {
 		if *fig != 0 || *all || *perf {
 			fatal(fmt.Errorf("-scenario is a complete sweep description; combine overrides into the scenario instead of -fig/-all/-perf"))
 		}
 		if *storeDir != "" {
-			st, err := store.Open(*storeDir)
+			st, err := store.OpenPruned(*storeDir, *storeMaxBytes, warnf)
 			if err != nil {
 				fatal(err)
 			}
-			if st.ReadOnly() {
-				fmt.Fprintf(os.Stderr, "specasan-bench: store %s is read-only: serving cached results, not persisting new ones\n", *storeDir)
-			}
-			if removed, freed, err := st.Prune(*storeMaxBytes); err != nil {
-				fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-			} else if removed > 0 {
-				fmt.Fprintf(os.Stderr, "specasan-bench: store pruned %d entries (%d bytes) to fit -store-max-bytes=%d\n",
-					removed, freed, *storeMaxBytes)
-			}
 			opt.Store = harness.DiskCellStore{S: st}
 		}
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		runScenario(*scen, opt, explicit)
+		runScenario(s, opt)
 		return
 	}
 	if *storeDir != "" {
@@ -172,16 +154,7 @@ func main() {
 		// -perf measures the simulator itself; instrumentation would skew it.
 		opt.Metrics = nil
 		opt.Attach = nil
-		// The sweep leg of the measurement is exactly the figure6 scenario at
-		// this run's scale; stamp its hash so the history's regression gate
-		// can tell comparable entries apart.
-		ps, _ := scenario.Preset(scenario.PresetFigure6)
-		ps.Run.Scale = opt.Scale
-		ps.Run.SkipIdle = !opt.NoSkipIdle
-		opt.ScenarioHash = ps.Hash()
-		// The sweep legs' pool size is an explicit, recorded choice now —
-		// -sweep-workers, not a silent GOMAXPROCS pin inside MeasurePerf.
-		opt.Workers = *sweepWorkers
+		opt.ScenarioHash = perfScenarioHash(s.Run)
 		runPerf(*perfOut, *perfNote, opt)
 		return
 	}
@@ -218,38 +191,11 @@ func main() {
 	run(*fig)
 }
 
-// runScenario runs the sweep a scenario describes and renders it as a
-// normalized-execution-time table. Explicitly-typed -scale/-workers/
-// -skip-idle/-fast-forward/-sample-windows/-sample-window-insts/
-// -warmup-cycles flags override the scenario's run options; everything else
-// (machine, mitigation columns, workload rows) comes from the scenario. The
-// effective hash is printed on stderr and stamped into -metrics-out records.
-func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
-	s, err := scenario.Load(arg)
-	if err != nil {
-		fatal(err)
-	}
-	if explicit["scale"] {
-		s.Run.Scale = opt.Scale
-	}
-	if explicit["workers"] {
-		s.Run.Workers = opt.Workers
-	}
-	if explicit["skip-idle"] {
-		s.Run.SkipIdle = !opt.NoSkipIdle
-	}
-	if explicit["fast-forward"] {
-		s.Run.FastForwardInsts = opt.FastForwardInsts
-	}
-	if explicit["sample-windows"] {
-		s.Run.SampleWindows = opt.SampleWindows
-	}
-	if explicit["sample-window-insts"] {
-		s.Run.SampleWindowInsts = opt.SampleWindowInsts
-	}
-	if explicit["warmup-cycles"] {
-		s.Run.WarmupCycles = opt.WarmupCycles
-	}
+// runScenario runs the sweep a resolved scenario describes and renders it
+// as a normalized-execution-time table; opt supplies only the output
+// plumbing and the store. The effective hash is printed on stderr and
+// stamped into -metrics-out records.
+func runScenario(s *scenario.Scenario, opt harness.Options) {
 	if err := s.Validate(); err != nil {
 		fatal(err)
 	}
@@ -267,6 +213,16 @@ func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
 		s.Name, hash)))
 }
 
+// perfScenarioHash is the identity -perf stamps on its history entry: the
+// sweep leg of the measurement is exactly the figure6 scenario at this run's
+// scale and idle-skip setting, so the history's regression gate can tell
+// comparable entries apart.
+func perfScenarioHash(run scenario.RunOptions) string {
+	ps, _ := scenario.Preset(scenario.PresetFigure6)
+	ps.Run.Scale, ps.Run.SkipIdle = run.Scale, run.SkipIdle
+	return ps.Hash()
+}
+
 // runPerf measures the simulator substrate itself — steady-state single-core
 // throughput and serial-vs-parallel sweep wall time — and writes the
 // BENCH_sim.json report (format documented in README.md).
@@ -277,7 +233,7 @@ func runPerf(path, note string, opt harness.Options) {
 		os.Exit(1)
 	}
 	desc := "event-driven idle skipping + flat memory/tag/cache paths"
-	if opt.NoSkipIdle {
+	if !opt.SkipIdle {
 		desc = "flat memory/tag/cache paths (idle skipping disabled)"
 	}
 	if note != "" {
@@ -326,8 +282,12 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return f.Close()
 }
 
+func warnf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "specasan-bench: "+format+"\n", args...)
+}
+
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "specasan-bench:", err)
+	warnf("%v", err)
 	os.Exit(1)
 }
 

@@ -29,27 +29,41 @@ import (
 	"specasan/internal/store"
 )
 
-func fail(format string, args ...interface{}) {
+func warnf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "specasan-chaos: "+format+"\n", args...)
+}
+
+func fail(format string, args ...any) {
+	warnf(format, args...)
 	os.Exit(1)
 }
 
-func main() {
-	scen := flag.String("scenario", "",
+// bindKnobs registers -scenario and specasan-chaos's campaign knobs on fs.
+// Without -scenario every knob applies over the chaos-smoke preset.
+func bindKnobs(fs *flag.FlagSet) *scenario.Flags {
+	k := scenario.NewFlags(fs, scenario.PresetChaosSmoke,
 		"scenario preset name or file; explicitly-set flags override its fields (default: the chaos-smoke preset, every flag applies)")
-	seeds := flag.Int("seeds", 8, "number of chaos seeds per grid cell")
-	seed0 := flag.Uint64("seed0", 1, "first seed")
-	kindsFlag := flag.String("kinds", "", "comma-separated fault kinds (default: every kind)")
-	wlFlag := flag.String("workloads", "511.povray_r,505.mcf_r,541.leela_r",
-		"comma-separated benchmark names")
-	mitsFlag := flag.String("mits", "Unsafe,SpecASan", "comma-separated mitigations for the golden sweep")
-	rate := flag.Float64("rate", 0.02, "per-opportunity injection probability")
-	maxLat := flag.Uint64("maxlat", 200, "max injected latency (cycles)")
-	scale := flag.Float64("scale", 0.02, "kernel iteration scale")
-	maxCycles := flag.Uint64("maxcycles", 100_000_000, "cycle budget per run")
+	k.Int("seeds", 8, "number of chaos seeds per grid cell", func(s *scenario.Scenario, v int) { s.Chaos.Seeds = v })
+	k.Uint64("seed0", 1, "first seed", func(s *scenario.Scenario, v uint64) { s.Chaos.Seed0 = v })
+	k.List("kinds", "", "comma-separated fault kinds (default: every kind)",
+		func(s *scenario.Scenario, v []string) { s.Chaos.Kinds = v })
+	k.List("workloads", "511.povray_r,505.mcf_r,541.leela_r", "comma-separated benchmark names",
+		func(s *scenario.Scenario, v []string) { s.Workloads = v })
+	k.List("mits", "Unsafe,SpecASan", "comma-separated mitigations for the golden sweep",
+		func(s *scenario.Scenario, v []string) { s.Mitigations = v })
+	k.Float64("rate", 0.02, "per-opportunity injection probability", func(s *scenario.Scenario, v float64) { s.Chaos.Rate = v })
+	k.Uint64("maxlat", 200, "max injected latency (cycles)", func(s *scenario.Scenario, v uint64) { s.Chaos.MaxLatency = v })
+	k.Float64("scale", 0.02, "kernel iteration scale", func(s *scenario.Scenario, v float64) { s.Run.Scale = v })
+	k.Uint64("maxcycles", 100_000_000, "cycle budget per run", func(s *scenario.Scenario, v uint64) { s.Run.MaxCycles = v })
+	k.Int("verdict-seeds", 2, "chaos seeds for the verdict-invariance sweep",
+		func(s *scenario.Scenario, v int) { s.Chaos.VerdictSeeds = v })
+	k.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)", func(s *scenario.Scenario, v int) { s.Run.Workers = v })
+	return k
+}
+
+func main() {
+	knobs := bindKnobs(flag.CommandLine)
 	verdicts := flag.Bool("verdicts", true, "also check Table 1 verdict invariance under timing-safe chaos")
-	verdictSeeds := flag.Int("verdict-seeds", 2, "chaos seeds for the verdict-invariance sweep")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	traceIdx := flag.Int("trace", -1, "re-run one campaign cell (by index) with event tracing and write a Chrome trace")
 	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace-event JSON")
 	metricsOut := flag.String("metrics-out", "", "write per-cell metrics records (JSONL, cell order) to this file")
@@ -57,65 +71,12 @@ func main() {
 		"result-store directory: verified cached campaign cells (verdicts included) are served without simulating, cold cells persist (ignored with -metrics-out, which must simulate)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0,
 		"prune the -store directory to at most this many entry bytes on open, oldest entries first (0 = unbounded)")
-	skipIdle := flag.Bool("skip-idle", true,
-		"event-driven idle-cycle skipping; injected runs bypass it regardless (the per-cycle fault driver must see every cycle)")
 	verbose := flag.Bool("v", false, "log each run")
 	flag.Parse()
 
-	// Scenario layering: without -scenario the base is the chaos-smoke
-	// preset and every flag (defaults included) applies over it, preserving
-	// the pre-scenario CLI behaviour exactly; with -scenario only the flags
-	// the user actually typed override the loaded scenario.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	overrides := func(name string) bool { return *scen == "" || explicit[name] }
-
-	s, _ := scenario.Preset(scenario.PresetChaosSmoke)
-	if *scen != "" {
-		var err error
-		if s, err = scenario.Load(*scen); err != nil {
-			fail("%v", err)
-		}
-		if s.Chaos == nil {
-			smoke, _ := scenario.Preset(scenario.PresetChaosSmoke)
-			s.Chaos = smoke.Chaos
-		}
-	}
-	if overrides("seeds") {
-		s.Chaos.Seeds = *seeds
-	}
-	if overrides("seed0") {
-		s.Chaos.Seed0 = *seed0
-	}
-	if overrides("kinds") {
-		s.Chaos.Kinds = splitList(*kindsFlag)
-	}
-	if overrides("workloads") {
-		s.Workloads = splitList(*wlFlag)
-	}
-	if overrides("mits") {
-		s.Mitigations = splitList(*mitsFlag)
-	}
-	if overrides("rate") {
-		s.Chaos.Rate = *rate
-	}
-	if overrides("maxlat") {
-		s.Chaos.MaxLatency = *maxLat
-	}
-	if overrides("scale") {
-		s.Run.Scale = *scale
-	}
-	if overrides("maxcycles") {
-		s.Run.MaxCycles = *maxCycles
-	}
-	if overrides("verdict-seeds") {
-		s.Chaos.VerdictSeeds = *verdictSeeds
-	}
-	if overrides("workers") {
-		s.Run.Workers = *workers
-	}
-	if overrides("skip-idle") {
-		s.Run.SkipIdle = *skipIdle
+	s, err := knobs.Resolve()
+	if err != nil {
+		fail("%v", err)
 	}
 	if err := s.Validate(); err != nil {
 		fail("%v", err)
@@ -144,7 +105,7 @@ func main() {
 
 	copt := chaos.CampaignOptions{
 		Scale: s.Run.Scale, MaxCycles: s.Run.MaxCycles, Workers: s.Run.Workers,
-		ScenarioHash: hash, NoSkipIdle: !s.Run.SkipIdle,
+		ScenarioHash: hash,
 	}
 	var metricsW io.Writer
 	if *metricsOut != "" {
@@ -164,18 +125,9 @@ func main() {
 		if *metricsOut != "" {
 			fmt.Fprintln(os.Stderr, "specasan-chaos: -store ignored (-metrics-out runs must simulate)")
 		} else {
-			st, err := store.Open(*storeDir)
+			st, err := store.OpenPruned(*storeDir, *storeMaxBytes, warnf)
 			if err != nil {
 				fail("%v", err)
-			}
-			if st.ReadOnly() {
-				fmt.Fprintf(os.Stderr, "specasan-chaos: store %s is read-only: serving cached results, not persisting new ones\n", *storeDir)
-			}
-			if removed, freed, err := st.Prune(*storeMaxBytes); err != nil {
-				fmt.Fprintln(os.Stderr, "specasan-chaos:", err)
-			} else if removed > 0 {
-				fmt.Fprintf(os.Stderr, "specasan-chaos: store pruned %d entries (%d bytes) to fit -store-max-bytes=%d\n",
-					removed, freed, *storeMaxBytes)
 			}
 			copt.Store = chaos.DiskCampaignStore{S: st}
 			copt.ResultHash = s.ResultHash()
@@ -259,18 +211,6 @@ func main() {
 	if failures > 0 || drifted > 0 {
 		os.Exit(1)
 	}
-}
-
-// splitList splits a comma-separated flag value, dropping empty parts (an
-// empty value yields nil, which scenario fields read as "default set").
-func splitList(csv string) []string {
-	var out []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func kindSetName(ks []chaos.Kind) string {

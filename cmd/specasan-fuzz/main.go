@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"specasan/internal/core"
@@ -34,20 +33,41 @@ import (
 	"specasan/internal/store"
 )
 
-func fail(format string, args ...interface{}) {
+func warnf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "specasan-fuzz: "+format+"\n", args...)
+}
+
+func fail(format string, args ...any) {
+	warnf(format, args...)
 	os.Exit(1)
 }
 
-func main() {
-	scen := flag.String("scenario", "",
+// bindKnobs registers -scenario and specasan-fuzz's run knobs on fs; the
+// -mits value comes back because an empty one means "every registered
+// policy". Without -scenario every knob applies over the fuzz-smoke preset.
+func bindKnobs(fs *flag.FlagSet) (k *scenario.Flags, mits *string) {
+	k = scenario.NewFlags(fs, scenario.PresetFuzzSmoke,
 		"scenario preset name or file; explicitly-set flags override its fields (default: the fuzz-smoke preset, every flag applies)")
-	seed := flag.Uint64("seed", 1, "generator seed (candidate i is a pure function of seed and i)")
-	n := flag.Int("n", 64, "candidate count (0 = unbounded, requires -budget)")
-	budget := flag.Duration("budget", 0, "wall-clock bound; with -n 0, whole batches run until it expires")
-	workers := flag.Int("workers", 0, "evaluation pool size (0 = GOMAXPROCS, 1 = serial)")
+	k.Uint64("seed", 1, "generator seed (candidate i is a pure function of seed and i)",
+		func(s *scenario.Scenario, v uint64) { s.Fuzz.Seed = v })
+	k.Int("n", 64, "candidate count (0 = unbounded, requires -budget)",
+		func(s *scenario.Scenario, v int) { s.Fuzz.Candidates = v })
+	k.Duration("budget", 0, "wall-clock bound; with -n 0, whole batches run until it expires",
+		func(s *scenario.Scenario, v time.Duration) { s.Fuzz.BudgetSeconds = int(v.Seconds()) })
+	k.Int("workers", 0, "evaluation pool size (0 = GOMAXPROCS, 1 = serial)",
+		func(s *scenario.Scenario, v int) { s.Run.Workers = v })
+	mits = k.List("mits", "", "comma-separated mitigation columns (default: every registered policy)",
+		func(s *scenario.Scenario, v []string) {
+			if len(v) > 0 {
+				s.Mitigations = v
+			}
+		})
+	return k, mits
+}
+
+func main() {
+	knobs, mitsFlag := bindKnobs(flag.CommandLine)
 	out := flag.String("out", "results", "output root: PoCs under <out>/pocs, divergences under <out>/differential")
-	mitsFlag := flag.String("mits", "", "comma-separated mitigation columns (default: every registered policy)")
 	storeDir := flag.String("store", "", "result-store directory: cached candidate evaluations make reruns and resumes cheap")
 	noMinimise := flag.Bool("no-minimise", false, "emit finds unminimised")
 	verbose := flag.Bool("v", false, "log batch progress and each emitted PoC")
@@ -55,39 +75,9 @@ func main() {
 	if flag.NArg() > 0 {
 		fail("unexpected arguments %v", flag.Args())
 	}
-
-	// Scenario layering, same contract as the other CLIs: without -scenario
-	// the fuzz-smoke preset is the base and every flag (defaults included)
-	// applies; with -scenario only explicitly-typed flags override it.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	overrides := func(name string) bool { return *scen == "" || explicit[name] }
-
-	s, _ := scenario.Preset(scenario.PresetFuzzSmoke)
-	if *scen != "" {
-		var err error
-		if s, err = scenario.Load(*scen); err != nil {
-			fail("%v", err)
-		}
-		if s.Fuzz == nil {
-			smoke, _ := scenario.Preset(scenario.PresetFuzzSmoke)
-			s.Fuzz = smoke.Fuzz
-		}
-	}
-	if overrides("seed") {
-		s.Fuzz.Seed = *seed
-	}
-	if overrides("n") {
-		s.Fuzz.Candidates = *n
-	}
-	if overrides("budget") {
-		s.Fuzz.BudgetSeconds = int(budget.Seconds())
-	}
-	if overrides("workers") {
-		s.Run.Workers = *workers
-	}
-	if overrides("mits") && *mitsFlag != "" {
-		s.Mitigations = splitList(*mitsFlag)
+	s, err := knobs.Resolve()
+	if err != nil {
+		fail("%v", err)
 	}
 	if err := s.Validate(); err != nil {
 		fail("%v", err)
@@ -97,8 +87,7 @@ func main() {
 	}
 
 	var mits []core.Mitigation
-	if *mitsFlag != "" || *scen != "" {
-		var err error
+	if *mitsFlag != "" || knobs.Scenario() != "" {
 		if mits, err = s.MitigationList(); err != nil {
 			fail("%v", err)
 		}
@@ -117,14 +106,10 @@ func main() {
 		opts.Log = os.Stderr
 	}
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
+		// There is no -store-max-bytes here: the fuzz store is unbounded.
+		if opts.Store, err = store.OpenPruned(*storeDir, 0, warnf); err != nil {
 			fail("%v", err)
 		}
-		if st.ReadOnly() {
-			fmt.Fprintf(os.Stderr, "specasan-fuzz: store %s is read-only: serving cached evaluations, not persisting new ones\n", *storeDir)
-		}
-		opts.Store = st
 	}
 
 	rep, err := fuzzer.Run(opts)
@@ -154,14 +139,4 @@ func printReport(w io.Writer, rep *fuzzer.Report) {
 	for _, d := range rep.Differential {
 		fmt.Fprintf(w, "DIVERGENCE %s\n", d)
 	}
-}
-
-func splitList(csv string) []string {
-	var out []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

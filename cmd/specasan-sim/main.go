@@ -34,15 +34,35 @@ import (
 	"specasan/internal/workloads"
 )
 
-func main() {
-	scen := flag.String("scenario", "",
+// bindKnobs registers -scenario and specasan-sim's run knobs on fs; the
+// workload flags come back for main's need-a-workload check. Without
+// -scenario every knob applies over the default (table2) scenario.
+func bindKnobs(fs *flag.FlagSet) (k *scenario.Flags, bench, file *string) {
+	k = scenario.NewFlags(fs, scenario.PresetTable2,
 		"scenario preset name or file; explicitly-set flags override its fields")
-	bench := flag.String("bench", "", "benchmark kernel name (e.g. 505.mcf_r, canneal)")
-	file := flag.String("file", "", "assembly file to run instead of a kernel")
-	mitName := flag.String("mitigation", "Unsafe", "a registered policy name (specasan-sim -mitigations lists them)")
+	bench = k.String("bench", "", "benchmark kernel name (e.g. 505.mcf_r, canneal)",
+		func(s *scenario.Scenario, v string) {
+			if v != "" {
+				s.Workloads = []string{v}
+			}
+		})
+	file = k.String("file", "", "assembly file to run instead of a kernel",
+		func(s *scenario.Scenario, v string) {
+			if v != "" {
+				s.Workloads = []string{scenario.FileWorkloadPrefix + v}
+			}
+		})
+	k.String("mitigation", "Unsafe", "a registered policy name (specasan-sim -mitigations lists them)",
+		func(s *scenario.Scenario, v string) { s.Mitigations = []string{v} })
+	k.Float64("scale", 1.0, "kernel iteration scale", func(s *scenario.Scenario, v float64) { s.Run.Scale = v })
+	k.Uint64("max-cycles", 500_000_000, "cycle budget", func(s *scenario.Scenario, v uint64) { s.Run.MaxCycles = v })
+	k.DetailFlags()
+	return k, bench, file
+}
+
+func main() {
+	knobs, bench, file := bindKnobs(flag.CommandLine)
 	listMits := flag.Bool("mitigations", false, "list the registered mitigation policies and exit")
-	scale := flag.Float64("scale", 1.0, "kernel iteration scale")
-	maxCycles := flag.Uint64("max-cycles", 500_000_000, "cycle budget")
 	showConfig := flag.Bool("config", false, "print the simulated CPU configuration (Table 2) and exit")
 	trace := flag.Bool("trace", false, "record a cycle-accurate event trace and write it as Chrome trace-event JSON")
 	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace (load in Perfetto / chrome://tracing)")
@@ -51,15 +71,6 @@ func main() {
 	pipeview := flag.Int("pipeview", 0, "render a timeline of the last N instructions")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	skipIdle := flag.Bool("skip-idle", true, "event-driven idle-cycle skipping (exactness-preserving; off walks every cycle)")
-	fastForward := flag.Uint64("fast-forward", 0,
-		"fast-forward this many instructions functionally before detailed simulation (0 = fully detailed; committed counts and output stay exact, cycles become an estimate)")
-	sampleWindows := flag.Int("sample-windows", 0,
-		"simulate this many evenly-spaced detailed windows and extrapolate cycles from their pooled IPC (requires -sample-window-insts; <=1 = tail mode / off)")
-	sampleWindowInsts := flag.Uint64("sample-window-insts", 0,
-		"instructions per detailed window for -sample-windows")
-	warmupCycles := flag.Uint64("warmup-cycles", 0,
-		"detailed warmup cycles excluded before each sampled measurement (0 = default 2000)")
 	storeDir := flag.String("store", "",
 		"result-store directory: serve this run from the store when a verified entry exists, persist it otherwise (named kernels without trace/pipeview/metrics instrumentation only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0,
@@ -77,53 +88,12 @@ func main() {
 		}
 		return
 	}
-
-	// Scenario layering: without -scenario the base is the default (table2)
-	// scenario and every flag (defaults included) applies over it —
-	// reproducing the pre-scenario CLI exactly; with -scenario only flags
-	// the user actually typed override the loaded scenario.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	overrides := func(name string) bool { return *scen == "" || explicit[name] }
-
-	s := scenario.Default()
-	if *scen != "" {
-		var err error
-		if s, err = scenario.Load(*scen); err != nil {
-			fatal(err)
-		}
-	} else if *bench == "" && *file == "" {
+	if knobs.Scenario() == "" && *bench == "" && *file == "" {
 		fatal(fmt.Errorf("need -bench, -file, or -scenario (or -config)"))
 	}
-	if overrides("bench") && *bench != "" {
-		s.Workloads = []string{*bench}
-	}
-	if overrides("file") && *file != "" {
-		s.Workloads = []string{scenario.FileWorkloadPrefix + *file}
-	}
-	if overrides("mitigation") {
-		s.Mitigations = []string{*mitName}
-	}
-	if overrides("scale") {
-		s.Run.Scale = *scale
-	}
-	if overrides("max-cycles") {
-		s.Run.MaxCycles = *maxCycles
-	}
-	if overrides("skip-idle") {
-		s.Run.SkipIdle = *skipIdle
-	}
-	if overrides("fast-forward") {
-		s.Run.FastForwardInsts = *fastForward
-	}
-	if overrides("sample-windows") {
-		s.Run.SampleWindows = *sampleWindows
-	}
-	if overrides("sample-window-insts") {
-		s.Run.SampleWindowInsts = *sampleWindowInsts
-	}
-	if overrides("warmup-cycles") {
-		s.Run.WarmupCycles = *warmupCycles
+	s, err := knobs.Resolve()
+	if err != nil {
+		fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		fatal(err)
@@ -332,7 +302,7 @@ func runSampled(s *scenario.Scenario, mit core.Mitigation, metricsOut string) er
 // matches the ordinary path (FormatStats sorts counters, so cached and cold
 // output are identical).
 func runStored(s *scenario.Scenario, mit core.Mitigation, dir string, maxBytes int64) error {
-	st, err := openStore(dir, maxBytes)
+	st, err := store.OpenPruned(dir, maxBytes, warnf)
 	if err != nil {
 		return err
 	}
@@ -359,25 +329,6 @@ func runStored(s *scenario.Scenario, mit core.Mitigation, dir string, maxBytes i
 	fmt.Println("\ncounters:")
 	fmt.Print(harness.FormatStats(r.Stats))
 	return nil
-}
-
-// openStore opens the result store and applies -store-max-bytes
-// pruning, warning on stderr about read-only stores and prune activity.
-func openStore(dir string, maxBytes int64) (*store.Store, error) {
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	if st.ReadOnly() {
-		fmt.Fprintf(os.Stderr, "specasan-sim: store %s is read-only: serving cached results, not persisting new ones\n", dir)
-	}
-	if removed, freed, err := st.Prune(maxBytes); err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-sim:", err)
-	} else if removed > 0 {
-		fmt.Fprintf(os.Stderr, "specasan-sim: store pruned %d entries (%d bytes) to fit -store-max-bytes=%d\n",
-			removed, freed, maxBytes)
-	}
-	return st, nil
 }
 
 func printConfig() {
@@ -420,7 +371,11 @@ func writeMetrics(path string, rec obs.MetricsRecord) error {
 	return f.Close()
 }
 
+func warnf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "specasan-sim: "+format+"\n", args...)
+}
+
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "specasan-sim:", err)
+	warnf("%v", err)
 	os.Exit(1)
 }

@@ -226,25 +226,25 @@ func TestRetryPolicyKnobs(t *testing.T) {
 	// A budget the kernel misses cold but recovers at 2x on the second
 	// escalation: factor 2, retries 2 ⇒ budgets B, 2B, 4B.
 	opt.MaxCycles = r.Cycles/3 + 1
-	opt.Retry = RetryPolicy{BudgetFactor: 2, MaxRetries: 2}
+	opt.RetryBudgetFactor, opt.MaxRetries = 2, 2
 	if _, _, err := RunCell(spec, core.Unsafe, opt); err != nil {
 		t.Fatalf("2-retry policy did not recover: %v", err)
 	}
 	// Retries disabled: the same budget must fail outright.
-	opt.Retry = RetryPolicy{MaxRetries: -1}
+	opt.MaxRetries = 0
 	if _, _, err := RunCell(spec, core.Unsafe, opt); !errors.Is(err, ErrTimedOut) {
 		t.Fatalf("retries-off run: %v", err)
 	}
 	// Scenario mapping: max_retries 0 means none, knobs flow through.
 	s := scenario.Default()
 	s.Run.MaxRetries = 0
-	if f, n := OptionsFromScenario(s).Retry.normalized(); n != 0 {
-		t.Fatalf("scenario max_retries=0 mapped to %d retries (factor %d)", n, f)
+	if o := OptionsFromScenario(s); o.MaxRetries != 0 {
+		t.Fatalf("scenario max_retries=0 mapped to %d retries (factor %d)", o.MaxRetries, o.RetryBudgetFactor)
 	}
 	s.Run.MaxRetries = 3
 	s.Run.RetryBudgetFactor = 7
-	if f, n := OptionsFromScenario(s).Retry.normalized(); n != 3 || f != 7 {
-		t.Fatalf("scenario knobs mapped to factor=%d retries=%d", f, n)
+	if o := OptionsFromScenario(s); o.MaxRetries != 3 || o.RetryBudgetFactor != 7 {
+		t.Fatalf("scenario knobs mapped to factor=%d retries=%d", o.RetryBudgetFactor, o.MaxRetries)
 	}
 }
 

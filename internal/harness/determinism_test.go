@@ -52,10 +52,9 @@ func TestRunSweepParallelDeterminism(t *testing.T) {
 
 	run := func(workers int) string {
 		var log bytes.Buffer
-		opt := Options{
-			Scale: 0.02, MaxCycles: 50_000_000,
-			Verbose: true, Log: &log, Workers: workers,
-		}
+		opt := DefaultOptions()
+		opt.Scale, opt.MaxCycles, opt.Workers = 0.02, 50_000_000, workers
+		opt.Verbose, opt.Log = true, &log
 		sw, err := RunSweep(specs, mits, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -88,15 +87,14 @@ func TestRunSweepMetricsAndTraceDeterminism(t *testing.T) {
 	run := func(workers int) (string, string) {
 		var metrics bytes.Buffer
 		var tr *obs.Tracer
-		opt := Options{
-			Scale: 0.02, MaxCycles: 50_000_000,
-			Workers: workers, Metrics: &metrics,
-			Attach: func(bench string, mit core.Mitigation, m *cpu.Machine) {
-				if bench == "505.mcf_r" && mit == core.SpecASan {
-					tr = obs.NewTracer(len(m.Cores), 0)
-					m.AttachObs(tr, nil)
-				}
-			},
+		opt := DefaultOptions()
+		opt.Scale, opt.MaxCycles, opt.Workers = 0.02, 50_000_000, workers
+		opt.Metrics = &metrics
+		opt.Attach = func(bench string, mit core.Mitigation, m *cpu.Machine) {
+			if bench == "505.mcf_r" && mit == core.SpecASan {
+				tr = obs.NewTracer(len(m.Cores), 0)
+				m.AttachObs(tr, nil)
+			}
 		}
 		if _, err := RunSweep(specs, mits, opt); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

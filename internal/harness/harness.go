@@ -19,6 +19,7 @@ import (
 	"specasan/internal/isa"
 	"specasan/internal/obs"
 	"specasan/internal/par"
+	"specasan/internal/scenario"
 	"specasan/internal/stats"
 	"specasan/internal/workloads"
 )
@@ -28,21 +29,17 @@ import (
 // errors.Is.
 var ErrTimedOut = errors.New("cycle budget exhausted")
 
-// Options tunes experiment cost.
+// Options tunes experiment cost. The run knobs are the scenario's own
+// RunOptions (scale, cycle budget, workers, idle skipping, retries,
+// sampling); the fields declared here are the output plumbing and the
+// scenario-derived identity. Start from DefaultOptions or
+// OptionsFromScenario: the zero RunOptions turns idle skipping and retries
+// off.
 type Options struct {
-	// Scale multiplies every kernel's iteration count. 1.0 ≈ 100k-200k
-	// committed instructions per benchmark; the tests use less.
-	Scale float64
-	// MaxCycles bounds each run.
-	MaxCycles uint64
+	scenario.RunOptions
 	// Verbose prints one line per completed run to Log.
 	Verbose bool
 	Log     io.Writer
-	// Workers bounds sweep-cell concurrency: 0 means GOMAXPROCS, 1 forces
-	// the serial path. Results and log output are deterministic and
-	// byte-identical for every value (cells are independent machines; logs
-	// are buffered per cell and flushed in cell order).
-	Workers int
 	// Metrics, when set, receives one obs JSONL record per successful run
 	// (issue-to-commit / tag-check-delay / squash-depth / LFB-stall
 	// histograms). Under RunSweep the stream is buffered per cell and
@@ -52,10 +49,6 @@ type Options struct {
 	// construction and before the run — the hook the commands use to attach
 	// an event tracer to a chosen cell.
 	Attach func(bench string, mit core.Mitigation, m *cpu.Machine)
-	// NoSkipIdle disables event-driven idle-cycle skipping (cpu.Machine
-	// SkipIdle). Skipping is exactness-preserving, so this only trades
-	// speed for a cycle-by-cycle walk — useful for A/B determinism checks.
-	NoSkipIdle bool
 	// Config, when set, is the machine configuration every run uses (its
 	// Cores field is overridden per workload); nil means core.DefaultConfig.
 	// Scenario-driven runs set this to the scenario's Machine.
@@ -63,11 +56,6 @@ type Options struct {
 	// ScenarioHash, when set, is stamped into every metrics record this run
 	// emits — the canonical content hash of the effective scenario.
 	ScenarioHash string
-	// Retry tunes the escalated-budget retry of timed-out cells. The zero
-	// value reproduces the original policy (one retry at 4x the budget);
-	// scenario-driven runs map the retry_budget_factor/max_retries knobs
-	// here.
-	Retry RetryPolicy
 	// Store, when set together with ResultHash, caches successful cell
 	// results: RunCell consults it before simulating and writes every cold
 	// success back. Instrumented cells (Metrics or Attach set) always
@@ -77,35 +65,11 @@ type Options struct {
 	// (scenario.ResultHash). Empty disables the cache even when Store is
 	// set — results without a scenario identity are not addressable.
 	ResultHash string
-
-	// FastForwardInsts, when > 0, runs the first N instructions of every
-	// single-core cell on the functional golden interpreter, transplants the
-	// architectural state into a fresh detailed machine (cpu.NewMachineAt),
-	// and simulates the remainder cycle-accurately ("tail mode"; see
-	// sample.go). Multi-threaded cells and programs shorter than N fall back
-	// to full detailed runs.
-	FastForwardInsts uint64
-	// SampleWindows, when > 1, switches to windowed sampling: that many
-	// evenly-spaced detailed windows of SampleWindowInsts instructions each,
-	// whole-run cycles extrapolated from their pooled post-warmup IPC.
-	SampleWindows int
-	// SampleWindowInsts is the detailed length of each sampled window
-	// (required when SampleWindows > 1).
-	SampleWindowInsts uint64
-	// WarmupCycles is the micro-architectural warmup budget after each state
-	// transplant (cold caches, predictors, TSH): detailed cycles whose
-	// counters are excluded from IPC estimates. 0 means DefaultWarmupCycles.
-	WarmupCycles uint64
-}
-
-// Sampling reports whether the options select fast-forward sampled runs.
-func (o *Options) Sampling() bool {
-	return o.FastForwardInsts > 0 || o.SampleWindows > 1
 }
 
 // DefaultWarmupCycles is the warmup budget used when WarmupCycles is 0 —
 // both by sampled runs after a transplant and by the -perf steady-state
-// measurement (the knob PR 1-6 hardcoded as perfWarmupSteps).
+// measurement.
 const DefaultWarmupCycles = 2000
 
 // warmup resolves the zero-value convention.
@@ -116,40 +80,11 @@ func (o *Options) warmup() uint64 {
 	return DefaultWarmupCycles
 }
 
-// RetryPolicy tunes how RunCell retries cells that exhaust their cycle
-// budget. The zero value means the defaults below; MaxRetries < 0 disables
-// retries entirely (a scenario's max_retries: 0 maps to that).
-type RetryPolicy struct {
-	// BudgetFactor scales MaxCycles on each retry (0 = DefaultRetryBudgetFactor).
-	BudgetFactor uint64
-	// MaxRetries bounds the escalated retries (0 = DefaultMaxRetries, <0 = none).
-	MaxRetries int
-}
-
-// The original hardcoded sweep-retry policy, now just the defaults.
-const (
-	DefaultRetryBudgetFactor = 4
-	DefaultMaxRetries        = 1
-)
-
-// normalized resolves the zero-value conventions.
-func (p RetryPolicy) normalized() (factor uint64, retries int) {
-	factor, retries = p.BudgetFactor, p.MaxRetries
-	if factor == 0 {
-		factor = DefaultRetryBudgetFactor
-	}
-	switch {
-	case retries == 0:
-		retries = DefaultMaxRetries
-	case retries < 0:
-		retries = 0
-	}
-	return factor, retries
-}
-
-// DefaultOptions are suitable for the command-line tools.
+// DefaultOptions are suitable for the command-line tools: the scenario
+// defaults (full scale, a 200M-cycle budget, GOMAXPROCS workers, idle
+// skipping on, one timeout retry at 4x the budget).
 func DefaultOptions() Options {
-	return Options{Scale: 1.0, MaxCycles: 200_000_000}
+	return Options{RunOptions: scenario.DefaultRunOptions()}
 }
 
 func (o *Options) logf(format string, args ...interface{}) {
@@ -219,7 +154,7 @@ func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*Perf
 	for i := 0; i < spec.Threads; i++ {
 		m.Core(i).SetReg(isa.X0, uint64(i))
 	}
-	m.SkipIdle = !opt.NoSkipIdle
+	m.SkipIdle = opt.SkipIdle
 	var met *obs.Metrics
 	if opt.Metrics != nil {
 		met = obs.NewMetrics(cfg.Cores)
@@ -305,9 +240,9 @@ func (s *Sweep) FailedCells() []string {
 //     simulating. Corrupt entries have been quarantined by the store and
 //     read as misses, so a damaged cache can cost a re-simulation but never
 //     a wrong answer.
-//   - Otherwise the cell simulates, with up to Retry.MaxRetries
-//     escalated-budget retries for timeouts (budget scaled by
-//     Retry.BudgetFactor each attempt, saturating instead of overflowing).
+//   - Otherwise the cell simulates, with up to MaxRetries escalated-budget
+//     retries for timeouts (budget scaled by RetryBudgetFactor each attempt,
+//     saturating instead of overflowing).
 //   - A panic anywhere in the simulation is converted to a cell error with
 //     the stack attached, so one diseased cell costs a table entry, not the
 //     sweep or the serving process.
@@ -332,12 +267,12 @@ func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfRes
 			// name this process has not registered) is as good as a miss.
 		}
 	}
-	factor, retries := opt.Retry.normalized()
+	factor := opt.RetryBudgetFactor
 	r, err = runBenchmarkRecover(spec, mit, opt)
 	budget := opt.MaxCycles
-	for attempt := 0; attempt < retries && errors.Is(err, ErrTimedOut); attempt++ {
-		if budget > ^uint64(0)/factor {
-			break // budget would overflow; the cell is a true hang
+	for attempt := 0; attempt < opt.MaxRetries && errors.Is(err, ErrTimedOut); attempt++ {
+		if factor == 0 || budget > ^uint64(0)/factor {
+			break // no escalation, or the budget would overflow: a true hang
 		}
 		budget *= factor
 		retry := opt
@@ -376,9 +311,9 @@ func runBenchmarkRecover(spec *workloads.Spec, mit core.Mitigation, opt Options)
 // machine). It degrades gracefully: a cell that fails is recorded in
 // Sweep.Errors and the sweep continues, so one wedged benchmark costs one
 // table cell, not the whole figure. Timed-out cells are retried with
-// escalated MaxCycles budgets under opt.Retry — by default once at 4x, so
-// slow-but-finite runs recover and true hangs fail twice. The returned error
-// is non-nil only when every cell failed.
+// escalated MaxCycles budgets (opt.MaxRetries, opt.RetryBudgetFactor) — by
+// default once at 4x, so slow-but-finite runs recover and true hangs fail
+// twice. The returned error is non-nil only when every cell failed.
 //
 // Determinism contract: results, errors, and every byte written to opt.Log
 // and opt.Metrics are identical for any worker count. Per-cell log and

@@ -25,7 +25,7 @@ import (
 // measurement used. v4 adds the intra-machine multicore block (one
 // PARSEC machine stepped serially vs one goroutine per simulated core)
 // and unpins the sweep leg's worker count: it now comes from the caller
-// (-sweep-workers; 0 still means GOMAXPROCS) and the resolved value is
+// (specasan-bench -workers; 0 still means GOMAXPROCS) and the resolved value is
 // recorded instead of silently imposed. v5 added a replay block (one
 // single-core cell fetched from a recorded trace vs the assembled program).
 // Neither the multicore nor the replay block is measured any more: machines
@@ -447,10 +447,9 @@ func MeasureSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) 
 // MeasurePerf produces the full report: single-core steady state, golden
 // interpreter throughput, the serial-vs-parallel sweep comparison, the
 // sampled-vs-full sweep comparison. The sweep legs run at opt.Workers
-// (0 = GOMAXPROCS, the historical pin) and the resolved pool size is recorded in the report —
-// the -sweep-workers flag reaches here, it is no longer silently
-// overridden. Warmup for the single-core leg comes from opt's WarmupCycles
-// knob (DefaultWarmupCycles when unset).
+// (0 = GOMAXPROCS, the historical pin) and the resolved pool size is
+// recorded in the report. Warmup for the single-core leg comes from opt's
+// WarmupCycles knob (DefaultWarmupCycles when unset).
 func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, opt Options) (*PerfReport, error) {
 	single, err := MeasureSingleCore(steps, opt.warmup())
 	if err != nil {

@@ -91,7 +91,7 @@ func newSampledMachine(spec *workloads.Spec, mit core.Mitigation, opt Options,
 	if err != nil {
 		return nil, err
 	}
-	m.SkipIdle = !opt.NoSkipIdle
+	m.SkipIdle = opt.SkipIdle
 	if met != nil {
 		m.AttachObs(nil, met)
 	}

@@ -24,7 +24,7 @@ func TestScenarioSweepMatchesFlagSweep(t *testing.T) {
 	flagOpt.Scale = 0.02
 	flagOpt.Config = &s.Machine
 	flagOpt.ScenarioHash = s.Hash()
-	flagOpt.NoSkipIdle = !s.Run.SkipIdle
+	flagOpt.SkipIdle = s.Run.SkipIdle
 	flagSw, err := RunSweep(
 		[]*workloads.Spec{workloads.ByName("511.povray_r")},
 		[]core.Mitigation{core.Unsafe, core.Fence},

@@ -35,17 +35,14 @@ func TestSkipIdleSweepByteIdentical(t *testing.T) {
 	run := func(noSkip bool) string {
 		var log, metrics bytes.Buffer
 		var tr *obs.Tracer
-		opt := Options{
-			Scale: 0.02, MaxCycles: 50_000_000,
-			Verbose: true, Log: &log,
-			Metrics:    &metrics,
-			NoSkipIdle: noSkip,
-			Attach: func(bench string, mit core.Mitigation, m *cpu.Machine) {
-				if bench == "505.mcf_r" && mit == core.SpecASan {
-					tr = obs.NewTracer(len(m.Cores), 0)
-					m.AttachObs(tr, nil)
-				}
-			},
+		opt := DefaultOptions()
+		opt.Scale, opt.MaxCycles, opt.SkipIdle = 0.02, 50_000_000, !noSkip
+		opt.Verbose, opt.Log, opt.Metrics = true, &log, &metrics
+		opt.Attach = func(bench string, mit core.Mitigation, m *cpu.Machine) {
+			if bench == "505.mcf_r" && mit == core.SpecASan {
+				tr = obs.NewTracer(len(m.Cores), 0)
+				m.AttachObs(tr, nil)
+			}
 		}
 		sw, err := RunSweep(specs, mits, opt)
 		if err != nil {

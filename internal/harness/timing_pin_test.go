@@ -51,7 +51,8 @@ func TestTimingPins(t *testing.T) {
 			core.SpecASan:    {55283, 94038},
 		},
 	}
-	opt := Options{Scale: 0.05, MaxCycles: 50_000_000}
+	opt := DefaultOptions()
+	opt.Scale, opt.MaxCycles = 0.05, 50_000_000
 	for name, byMit := range pins {
 		spec := workloads.ByName(name)
 		if spec == nil {

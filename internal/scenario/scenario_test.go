@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -227,10 +228,25 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// The shared CLI list helpers: case-insensitive mitigation names, trimmed
-// CSV, real errors for unknowns.
+// The binder's list flags: case-insensitive mitigation names, trimmed CSV,
+// real errors for unknowns once the scenario resolves them.
 func TestParseLists(t *testing.T) {
-	mits, err := ParseMitigationList(" unsafe, SPECASAN ,SpecASan+CFI")
+	parse := func(args ...string) *Scenario {
+		t.Helper()
+		fs := flag.NewFlagSet("lists", flag.ContinueOnError)
+		f := NewFlags(fs, PresetTable2, "")
+		f.List("mits", "Unsafe", "", func(s *Scenario, v []string) { s.Mitigations = v })
+		f.List("workloads", "505.mcf_r", "", func(s *Scenario, v []string) { s.Workloads = v })
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		s, err := f.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	mits, err := parse("-mits", " unsafe, SPECASAN ,SpecASan+CFI").MitigationList()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,15 +256,43 @@ func TestParseLists(t *testing.T) {
 			t.Errorf("mits[%d] = %v, want %v", i, mits[i], m)
 		}
 	}
-	if _, err := ParseMitigationList("Unsafe,Bogus"); err == nil {
+	if _, err := parse("-mits", "Unsafe,Bogus").MitigationList(); err == nil {
 		t.Error("unknown mitigation accepted")
 	}
-	specs, err := ParseWorkloadList("505.mcf_r, 541.leela_r")
+	specs, err := parse("-workloads", "505.mcf_r, 541.leela_r").WorkloadSpecs()
 	if err != nil || len(specs) != 2 {
 		t.Fatalf("workload list: %v, %d specs", err, len(specs))
 	}
-	if _, err := ParseWorkloadList("505.mcf_r,nope"); err == nil {
+	if _, err := parse("-workloads", "505.mcf_r,nope").WorkloadSpecs(); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// The binder's layering contract: without -scenario every bound flag
+// applies over the base preset, defaults included; with -scenario only the
+// typed ones do, and a scenario lacking the base's chaos section takes it.
+func TestFlagsLayering(t *testing.T) {
+	resolve := func(args ...string) *Scenario {
+		t.Helper()
+		fs := flag.NewFlagSet("layering", flag.ContinueOnError)
+		f := NewFlags(fs, PresetChaosSmoke, "")
+		f.Float64("scale", 0.5, "", func(s *Scenario, v float64) { s.Run.Scale = v })
+		f.Int("seeds", 3, "", func(s *Scenario, v int) { s.Chaos.Seeds = v })
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		s, err := f.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if s := resolve(); s.Run.Scale != 0.5 || s.Chaos.Seeds != 3 {
+		t.Errorf("flag defaults not applied without -scenario: scale %v seeds %d", s.Run.Scale, s.Chaos.Seeds)
+	}
+	s := resolve("-scenario", "figure6", "-seeds", "5")
+	if s.Run.Scale != 1 || s.Chaos == nil || s.Chaos.Seeds != 5 || s.Chaos.Rate != 0.02 {
+		t.Errorf("-scenario layering: scale %v chaos %+v", s.Run.Scale, s.Chaos)
 	}
 }
 

@@ -183,19 +183,11 @@ func New(cfg Config) (*Server, error) {
 	// One bucket per 25ms, top bucket absorbing the tail.
 	s.latency = s.reg.Histogram("serve", "cell_latency_ms", 25, 64)
 	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir)
+		st, err := store.OpenPruned(cfg.StoreDir, cfg.StoreMaxBytes, s.logf)
 		if err != nil {
 			return nil, fmt.Errorf("serve: store: %w", err)
 		}
 		s.store = st
-		if st.ReadOnly() {
-			s.logf("store %s is read-only: serving cached results, not persisting new ones", cfg.StoreDir)
-		}
-		if removed, freed, err := st.Prune(cfg.StoreMaxBytes); err != nil {
-			s.logf("%v", err)
-		} else if removed > 0 {
-			s.logf("store pruned %d entries (%d bytes) to fit max %d", removed, freed, cfg.StoreMaxBytes)
-		}
 	}
 	s.queue = make(chan task, cfg.QueueDepth)
 	s.wg.Add(cfg.Workers)
@@ -283,7 +275,7 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 		}
 		opt := chaos.CampaignOptions{
 			Scale: scn.Run.Scale, MaxCycles: scn.Run.MaxCycles, Workers: 1,
-			ResultHash: scn.ResultHash(), NoSkipIdle: !scn.Run.SkipIdle,
+			ResultHash: scn.ResultHash(),
 		}
 		if s.store != nil {
 			opt.Store = chaos.DiskCampaignStore{S: s.store}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -145,5 +146,32 @@ func TestPruneReadOnlyIsNoOp(t *testing.T) {
 	}
 	if removed, _, err := s2.Prune(1); removed != 0 || err != nil {
 		t.Fatalf("read-only prune acted: removed=%d err=%v", removed, err)
+	}
+}
+
+// OpenPruned is the commands' way in: it prunes on open and reports what it
+// pruned through logf, and says nothing when there is nothing to report.
+func TestOpenPrunedLogsPrune(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Now().Add(-time.Hour)
+	for i := 0; i < 3; i++ {
+		putAged(t, s, fmt.Sprintf("cell-%d", i), base.Add(time.Duration(i)*time.Minute))
+	}
+	var log []string
+	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	if _, err := OpenPruned(dir, 0, logf); err != nil || len(log) != 0 {
+		t.Fatalf("unbounded open: err=%v log=%q", err, log)
+	}
+	s2, err := OpenPruned(dir, 1, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Stats().Pruned != 3 || len(log) != 1 ||
+		!strings.HasPrefix(log[0], "store pruned 3 entries") {
+		t.Fatalf("pruned=%d log=%q", s2.Stats().Pruned, log)
 	}
 }

@@ -140,6 +140,26 @@ func Open(root string) (*Store, error) {
 	return s, nil
 }
 
+// OpenPruned is Open followed by Prune(maxBytes), the way every store-taking
+// command opens its store: logf hears about a read-only store and about any
+// entries pruned. A failed prune is logged, not returned — the store still
+// serves.
+func OpenPruned(root string, maxBytes int64, logf func(format string, args ...any)) (*Store, error) {
+	s, err := Open(root)
+	if err != nil {
+		return nil, err
+	}
+	if s.ReadOnly() {
+		logf("store %s is read-only: serving cached results, not persisting new ones", root)
+	}
+	if removed, freed, err := s.Prune(maxBytes); err != nil {
+		logf("%v", err)
+	} else if removed > 0 {
+		logf("store pruned %d entries (%d bytes) to fit -store-max-bytes=%d", removed, freed, maxBytes)
+	}
+	return s, nil
+}
+
 // sweepTemps removes temp files left by interrupted writes. Only files with
 // the temp prefix are touched; racing with a live writer is harmless because
 // live writers hold their temp file open only briefly and recreate on error.
