@@ -49,6 +49,19 @@ func bindKnobs(fs *flag.FlagSet) *scenario.Flags {
 	return k
 }
 
+// resolve is the scenario every path runs: -scenario's, or the default
+// carrying -fig/-all/-perf's run options, validated either way.
+func resolve(k *scenario.Flags) (*scenario.Scenario, error) {
+	s, err := k.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func main() {
 	knobs := bindKnobs(flag.CommandLine)
 	fig := flag.Int("fig", 0, "figure to regenerate (1, 6, 7, 8, 9)")
@@ -80,7 +93,7 @@ func main() {
 		}
 	}()
 
-	s, err := knobs.Resolve()
+	s, err := resolve(knobs)
 	if err != nil {
 		fatal(err)
 	}
@@ -196,9 +209,6 @@ func main() {
 // plumbing and the store. The effective hash is printed on stderr and
 // stamped into -metrics-out records.
 func runScenario(s *scenario.Scenario, opt harness.Options) {
-	if err := s.Validate(); err != nil {
-		fatal(err)
-	}
 	hash := s.Hash()
 	fmt.Fprintf(os.Stderr, "specasan-bench: scenario %s (hash %s)\n", s.Name, hash)
 	sw, err := harness.RunScenarioSweep(s, opt)

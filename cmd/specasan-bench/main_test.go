@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +13,9 @@ import (
 // -perf stamps on its history entry is pinned too, as is the pool size of
 // its sweep legs, which -workers sets (formerly -sweep-workers; the
 // "-scale 0.1" row pins the old "-perf -scale 0.1 -skip-idle=false
-// -sweep-workers 3").
+// -sweep-workers 3"). Every path validates what it resolves, -fig/-all/-perf
+// included: windowed sampling without a window size is an error, not a run
+// with 0-instruction windows.
 func TestFlagBindingHashes(t *testing.T) {
 	for _, tc := range []struct {
 		args           []string
@@ -37,10 +40,7 @@ func TestFlagBindingHashes(t *testing.T) {
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatalf("%q: %v", tc.args, err)
 		}
-		s, err := k.Resolve()
-		if err == nil {
-			err = s.Validate()
-		}
+		s, err := resolve(k)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.args, err)
 		}
@@ -52,6 +52,23 @@ func TestFlagBindingHashes(t *testing.T) {
 		}
 		if s.Run.Workers != tc.workers {
 			t.Errorf("%q: workers %d, want %d", tc.args, s.Run.Workers, tc.workers)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		err  string
+	}{
+		{[]string{"-fig", "6", "-scale", "0.01", "-sample-windows", "4"},
+			"sample_window_insts must be > 0 when sample_windows > 1"},
+	} {
+		fs := flag.NewFlagSet("specasan-bench", flag.ContinueOnError)
+		k := bindKnobs(fs)
+		fs.Int("fig", 0, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if _, err := resolve(k); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%q: error %v, want %q", tc.args, err, tc.err)
 		}
 	}
 }

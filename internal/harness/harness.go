@@ -129,9 +129,15 @@ func buildSpec(spec *workloads.Spec, mit core.Mitigation, opt Options) (*asm.Pro
 // multi-threaded cells and programs too short to sample fall back to the
 // full detailed run below.
 func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*PerfResult, error) {
+	return runBenchmark(spec, mit, opt, nil)
+}
+
+// runBenchmark is RunBenchmark with the cell's claim on a sweep-shared
+// window plan (nil walks a private one).
+func runBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options, use *planUse) (*PerfResult, error) {
 	if opt.Sampling() {
 		if spec.Threads == 1 {
-			r, err := runSampled(spec, mit, opt)
+			r, err := runSampled(spec, mit, opt, use)
 			if !errors.Is(err, errSampleTooShort) {
 				return r, err
 			}
@@ -249,6 +255,14 @@ func (s *Sweep) FailedCells() []string {
 //   - A cold success is written back to the store; write failures (e.g. a
 //     store in read-only mode) are deliberately non-fatal.
 func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfResult, cached bool, err error) {
+	return runCell(spec, mit, opt, nil)
+}
+
+// runCell is RunCell with the cell's claim on a sweep-shared window plan.
+// The claim is given back on every exit, so a cell that never reaches its
+// plan (a store hit) does not hold windows the other consumers wait to drop.
+func runCell(spec *workloads.Spec, mit core.Mitigation, opt Options, use *planUse) (r *PerfResult, cached bool, err error) {
+	defer use.leave()
 	// Source-override specs are excluded: their program text lives outside
 	// the scenario, so (ResultHash, name) does not pin their identity. That
 	// exclusion used to be silent; it now surfaces as a Note on the result.
@@ -268,7 +282,7 @@ func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfRes
 		}
 	}
 	factor := opt.RetryBudgetFactor
-	r, err = runBenchmarkRecover(spec, mit, opt)
+	r, err = runBenchmarkRecover(spec, mit, opt, use)
 	budget := opt.MaxCycles
 	for attempt := 0; attempt < opt.MaxRetries && errors.Is(err, ErrTimedOut); attempt++ {
 		if factor == 0 || budget > ^uint64(0)/factor {
@@ -279,7 +293,8 @@ func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfRes
 		retry.MaxCycles = budget
 		opt.logf("  %-18s %-12s timed out; retrying with %d-cycle budget",
 			spec.Name, mit, budget)
-		r, err = runBenchmarkRecover(spec, mit, retry)
+		// The escalated budget is a different plan key: a private walk.
+		r, err = runBenchmarkRecover(spec, mit, retry, nil)
 	}
 	if err != nil {
 		opt.logf("  %-18s %-12s FAILED: %v", spec.Name, mit, err)
@@ -296,14 +311,14 @@ func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfRes
 
 // runBenchmarkRecover is RunBenchmark with panics converted to errors: the
 // fault-isolation boundary of every cell execution.
-func runBenchmarkRecover(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfResult, err error) {
+func runBenchmarkRecover(spec *workloads.Spec, mit core.Mitigation, opt Options, use *planUse) (r *PerfResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r = nil
 			err = fmt.Errorf("%s under %v: panic: %v\n%s", spec.Name, mit, p, debug.Stack())
 		}
 	}()
-	return RunBenchmark(spec, mit, opt)
+	return runBenchmark(spec, mit, opt, use)
 }
 
 // RunSweep executes every benchmark under every mitigation, running up to
@@ -321,7 +336,16 @@ func runBenchmarkRecover(spec *workloads.Spec, mit core.Mitigation, opt Options)
 // (benchmark-major, mitigation-minor) as the completed prefix grows.
 // opt.Attach, when set, may be called from several workers at once; the
 // commands' attach hooks only touch the one machine they match.
+//
+// Windowed sampled cells that run the same program share one functional
+// walk (plan.go): every cell is enrolled in a per-sweep plan memo before
+// the first one runs.
 func RunSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) (*Sweep, error) {
+	return runSweep(specs, mits, opt, newPlanMemo())
+}
+
+// runSweep is RunSweep over a given plan memo, which it leaves empty.
+func runSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options, plans *planMemo) (*Sweep, error) {
 	sw := &Sweep{
 		Mitigations: mits,
 		Results:     make(map[string]map[core.Mitigation]*PerfResult),
@@ -335,6 +359,7 @@ func RunSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) (*Sw
 	type cell struct {
 		spec *workloads.Spec
 		mit  core.Mitigation
+		use  *planUse
 		res  *PerfResult
 		err  error
 		log  bytes.Buffer
@@ -343,7 +368,7 @@ func RunSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) (*Sw
 	cells := make([]cell, 0, len(specs)*len(mits))
 	for _, spec := range specs {
 		for _, mit := range mits {
-			cells = append(cells, cell{spec: spec, mit: mit})
+			cells = append(cells, cell{spec: spec, mit: mit, use: plans.enrol(spec, mit, opt)})
 		}
 	}
 	ran := 0
@@ -355,7 +380,7 @@ func RunSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) (*Sw
 			if opt.Metrics != nil {
 				cellOpt.Metrics = &c.met
 			}
-			c.res, _, c.err = RunCell(c.spec, c.mit, cellOpt)
+			c.res, _, c.err = runCell(c.spec, c.mit, cellOpt, c.use)
 		},
 		func(i int) {
 			c := &cells[i]

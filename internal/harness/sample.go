@@ -21,6 +21,10 @@ package harness
 //     of SampleWindowInsts instructions each are then simulated in detail
 //     (one progressive functional walk, one transplant per window), and
 //     whole-run cycles are extrapolated from the pooled post-warmup IPC.
+//     The functional side is a windowPlan (plan.go): a sweep walks each
+//     (program, MTE mode) once and shares every window's snapshot and touch
+//     ring among the mitigations that run that program, holding at most K
+//     live windows per plan; a cell run alone walks a private plan.
 //
 // Fallbacks keep the mode safe to leave enabled: multi-threaded cells (the
 // transplant seam is single-core) and programs shorter than the fast-forward
@@ -69,14 +73,15 @@ func newGolden(prog *asm.Program, mit core.Mitigation) *golden.Interp {
 	return ip
 }
 
-// runSampled dispatches a single-core cell to the selected sampling mode.
-func runSampled(spec *workloads.Spec, mit core.Mitigation, opt Options) (*PerfResult, error) {
+// runSampled dispatches a single-core cell to the selected sampling mode;
+// use is the cell's claim on a sweep-shared window plan, or nil.
+func runSampled(spec *workloads.Spec, mit core.Mitigation, opt Options, use *planUse) (*PerfResult, error) {
+	if opt.SampleWindows > 1 {
+		return runSampledWindows(spec, mit, opt, use)
+	}
 	prog, err := buildSpec(spec, mit, opt)
 	if err != nil {
 		return nil, err
-	}
-	if opt.SampleWindows > 1 {
-		return runSampledWindows(spec, mit, opt, prog)
 	}
 	return runSampledTail(spec, mit, opt, prog)
 }
@@ -237,69 +242,41 @@ func runSampledTail(spec *workloads.Spec, mit core.Mitigation, opt Options,
 	}, nil
 }
 
-// runSampledWindows is windowed mode: a full functional walk for the exact
-// totals, then K evenly-spaced detailed windows pooled into one IPC estimate.
+// runSampledWindows is windowed mode, the detailed side: K evenly-spaced
+// detailed windows, taken from the program's windowPlan, pooled into one IPC
+// estimate over the plan's exact total. use is the cell's claim on a
+// sweep-shared plan; nil walks a private one.
 func runSampledWindows(spec *workloads.Spec, mit core.Mitigation, opt Options,
-	prog *asm.Program) (*PerfResult, error) {
-	k := opt.SampleWindows
+	use *planUse) (*PerfResult, error) {
+	if use == nil {
+		use = privateUse()
+	}
+	defer use.leave()
+	p := use.open(spec, mit, opt)
+	if err := p.verdict(spec, mit); err != nil {
+		return nil, err
+	}
 	winInsts := opt.SampleWindowInsts
-
-	// Pass 1: total instruction count and exact output.
-	walk := newGolden(prog, mit)
-	fres := walk.Run(functionalBudget(opt.MaxCycles))
-	switch fres.Reason {
-	case golden.StopExit:
-	case golden.StopMaxInsts:
-		return nil, fmt.Errorf("%s under %v: functional walk: %w after %d instructions",
-			spec.Name, mit, ErrTimedOut, fres.Insts)
-	default:
-		return nil, ffFaultErr(spec, mit, fres)
-	}
-	total := fres.Insts
-	ff := opt.FastForwardInsts
-	if ff >= total {
-		return nil, errSampleTooShort
-	}
-	span := total - ff
-	starts := make([]uint64, 0, k)
-	for i := 0; i < k; i++ {
-		s := ff + span*uint64(i)/uint64(k)
-		if n := len(starts); n > 0 && s <= starts[n-1] {
-			continue // span smaller than the window count: drop duplicates
-		}
-		starts = append(starts, s)
-	}
+	total := p.walk.Insts
 
 	var met *obs.Metrics
 	if opt.Metrics != nil {
 		met = obs.NewMetrics(1)
 	}
 
-	// Pass 2: one progressive functional walk; transplant at each start. The
-	// walk's touch ring warms each window's caches with the working set live
-	// at that window's start.
-	ip := newGolden(prog, mit)
-	ip.Touch = golden.NewTouchRing(warmTouches)
-	var cur uint64
 	pool := stats.NewSet("machine")
 	var sumCycles, sumCom, sumDetCycles, sumDetCom uint64
 	warm := min(opt.warmup(), opt.MaxCycles)
-	for _, s := range starts {
-		if s > cur {
-			g := ip.Run(s - cur)
-			if g.Reason != golden.StopMaxInsts {
-				// Pass 1 proved the walk runs `total` instructions cleanly
-				// and s < total, so anything else is an engine bug.
-				return nil, fmt.Errorf("%s under %v: functional walk stopped early at %d insts (%v)",
-					spec.Name, mit, cur+g.Insts, g.Reason)
-			}
-			cur = s
+	for i := range p.starts {
+		st, ring, err := use.take(p, i)
+		if err != nil {
+			return nil, fmt.Errorf("%s under %v: %w", spec.Name, mit, err)
 		}
-		m, err := newSampledMachine(spec, mit, opt, prog, ip.Snapshot(), met)
+		m, err := newSampledMachine(spec, mit, opt, p.prog, st, met)
 		if err != nil {
 			return nil, err
 		}
-		m.WarmCaches(ip.Touch)
+		m.WarmCaches(ring)
 		if err := sampledRunErr(spec, mit, m, m.Run(warm), false); err != nil {
 			return nil, err
 		}
@@ -331,13 +308,13 @@ func runSampledWindows(spec *workloads.Spec, mit core.Mitigation, opt Options,
 		DetailedInsts:   sumDetCom,
 		DetailedCycles:  sumDetCycles,
 		WarmupCycles:    warm,
-		Windows:         len(starts),
+		Windows:         len(p.starts),
 	}
 	pool.Set("sampled_detailed_cycles", sumDetCycles)
 	pool.Set("sampled_warmup_cycles", warm)
-	pool.Set("sampled_windows", uint64(len(starts)))
+	pool.Set("sampled_windows", uint64(len(p.starts)))
 	opt.logf("  %-18s %-12s sampled windows=%d cycles~%-9d ipc=%.2f restricted~%d",
-		spec.Name, mit, len(starts), cycles, ipc, restricted)
+		spec.Name, mit, len(p.starts), cycles, ipc, restricted)
 	if err := emitSampled(spec, mit, opt, met, cycles, total, sampled); err != nil {
 		return nil, err
 	}
@@ -347,7 +324,7 @@ func runSampledWindows(spec *workloads.Spec, mit core.Mitigation, opt Options,
 		Cycles:     cycles,
 		Committed:  total,
 		Restricted: restricted,
-		Output:     string(fres.Output),
+		Output:     string(p.walk.Output),
 		Stats:      pool,
 		Sampled:    sampled,
 	}, nil

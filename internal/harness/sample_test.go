@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -177,46 +176,38 @@ func TestSampledFaultDuringFastForward(t *testing.T) {
 }
 
 // TestSampledSweepDeterministicAcrossWorkers: the sampling path inherits the
-// sweep's determinism contract — results and log bytes are identical for any
-// worker count.
+// sweep's determinism contract, and sharing a window plan changes nothing a
+// cell reports. Every cell of a windowed sweep (three untagged mitigations
+// share each program's plan), at any worker count, has the result, log line
+// and metrics record of the same cell run alone on a private plan.
 func TestSampledSweepDeterministicAcrossWorkers(t *testing.T) {
 	specs := []*workloads.Spec{
 		workloads.ByName("508.namd_r"),
 		workloads.ByName("505.mcf_r"),
 	}
-	mits := []core.Mitigation{core.Unsafe, core.SpecASan}
-	run := func(workers int) string {
-		var log bytes.Buffer
-		opt := smallOpts()
-		opt.Scale = 0.2
-		opt.Verbose = true
-		opt.Log = &log
-		opt.Workers = workers
-		opt.SampleWindows = 3
-		opt.SampleWindowInsts = 2000
-		sw, err := RunSweep(specs, mits, opt)
+	mits := []core.Mitigation{core.Unsafe, core.Fence, core.STT, core.SpecASan}
+	opt := windowedOpts()
+	opt.Verbose = true
+	want, wantLog, wantMet := standaloneCells(specs, mits, opt)
+	for _, w := range []int{1, 2, 4} {
+		var log, met bytes.Buffer
+		opt.Log, opt.Metrics, opt.Workers = &log, &met, w
+		pm := newPlanMemo()
+		sw, err := runSweep(specs, mits, opt, pm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b bytes.Buffer
-		for _, bench := range sw.Benchmarks {
-			for _, mit := range sw.Mitigations {
-				r := sw.Results[bench][mit]
-				if r == nil {
-					fmt.Fprintf(&b, "%s/%v: err=%v\n", bench, mit, sw.Errors[bench][mit])
-					continue
-				}
-				fmt.Fprintf(&b, "%s/%v: cycles=%d committed=%d restricted=%d sampled=%+v\n",
-					bench, mit, r.Cycles, r.Committed, r.Restricted, r.Sampled)
-			}
+		if got := sweepLines(sw); got != want {
+			t.Errorf("workers=%d: sweep results differ from standalone cells:\n%s\n--- standalone ---\n%s", w, got, want)
 		}
-		fmt.Fprintf(&b, "--- log ---\n%s", log.String())
-		return b.String()
-	}
-	serial := run(1)
-	for _, w := range []int{2, 4} {
-		if got := run(w); got != serial {
-			t.Fatalf("sampled sweep not deterministic across workers=%d:\n%s\n--- vs serial ---\n%s", w, got, serial)
+		if log.String() != wantLog {
+			t.Errorf("workers=%d: sweep log differs from standalone cells:\n%s\n--- standalone ---\n%s", w, log.String(), wantLog)
+		}
+		if met.String() != wantMet {
+			t.Errorf("workers=%d: sweep metrics differ from standalone cells", w)
+		}
+		if len(pm.entries) != 0 {
+			t.Errorf("workers=%d: %d plans left in the memo", w, len(pm.entries))
 		}
 	}
 }
